@@ -279,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="Weyl group element budget (default from MINRANK_BUDGET "
+            help="Weyl group element budget: exit 3 when W(g) or W(h) has "
+            "more than N elements, or a coset table or subgroup closure "
+            "grows past N (default from MINRANK_BUDGET "
             f"or {DEFAULT_BUDGET})",
         )
         if with_pair:

@@ -35,7 +35,7 @@ from .weyl import (
     Subgroup,
     compose,
     full_subgroup,
-    generate_weyl,
+    order_within_budget,
     perm_closure,
     perm_key,
     reflection_perms,
@@ -447,11 +447,9 @@ def validate_candidate(
     # straight component swap is exempt (its closure is the graph of the
     # identity isomorphism between the two blocks, of order |W(block)|)
     if not sigma.is_identity and not _is_straight_swap(g_diagram, sigma):
+        expected = order_within_budget(_cached_root_system(h_diagram), budget)
         sub_perms = perm_closure([_generator_perm(rs, o) for o in wh_generators],
                                  len(rs.roots), budget=budget)
-        expected = generate_weyl(
-            _cached_root_system(h_diagram), budget=budget, rank_cap=len(sigma.mapping)
-        ).order
         if len(sub_perms) != expected:
             return _fail("embed", "embedding_order")
 
@@ -512,10 +510,8 @@ def embed_weyl(
     generators = tuple(W.elements[perm_key(p)] for p in gen_perms)
     if pair.sigma.is_identity:
         return full_subgroup(W), generators
+    expected = order_within_budget(_cached_root_system(pair.h_colored.diagram), budget)
     perms = perm_closure(gen_perms, len(rs.roots), budget=budget)
-    expected = generate_weyl(
-        _cached_root_system(pair.h_colored.diagram), budget=budget
-    ).order
     if len(perms) != expected:
         raise ValueError(
             f"embedded subgroup has order {len(perms)}, expected {expected}"
@@ -714,7 +710,8 @@ def _evaluate_row(
     if "diagonal pair" in report.tags:
         return "diagonal", "diagonal_pair"
     pair = report.pair
-    assert pair is not None
+    if pair is None:
+        raise ValueError("accepted validation report carries no pair")
     computed = (pair.h_colored.diagram.type_label, tuple(sorted(pair.h_colored.black)))
     if computed == (posited_h, tuple(sorted(posited_black))):
         return "accepted", None

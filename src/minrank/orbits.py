@@ -2,10 +2,12 @@
 the graded orbit graph, and the cancellation order.
 
 Vertices are the left cosets of the embedded folded Weyl group; a simple
-reflection acts by left multiplication.  The dimension of a vertex is the
-positive-root count of the folded system plus the minimal representative
-length, so the identity coset sits at the bottom and the longest-element
-coset at the top.  Every construction here asserts the gradings it relies
+reflection acts by left multiplication.  The cosets and the action come
+from a Todd-Coxeter table on the Coxeter presentation of W(g), and P_G and
+P_H from parabolic chains, so no group is ever listed.  The dimension of a
+vertex is the positive-root count of the folded system plus the minimal
+representative length, so the identity coset sits at the bottom and the
+longest-element coset at the top.  Every construction here asserts the gradings it relies
 on instead of assuming them.
 """
 
@@ -14,18 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .folding import MinimalRankPair, _cached_root_system, embed_weyl, pair_to_json
+from .folding import MinimalRankPair, _cached_root_system, pair_to_json
 from .weyl import (
     DEFAULT_BUDGET,
-    Subgroup,
     WeylElement,
-    WeylGroup,
+    chain_poincare,
     compose,
-    coset_decomposition,
-    generate_weyl,
+    coset_table,
+    coset_words,
+    is_coxeter_action,
     is_palindromic,
-    length_poincare,
-    perm_key,
+    order_within_budget,
     poly_mul,
     reflection_perms,
 )
@@ -52,9 +53,6 @@ class OrbitGraph:
     d_g: int
     d_h: int
     action: tuple[tuple[int, ...], ...]
-    group: WeylGroup
-    subgroup: Subgroup
-    coset_of: dict[bytes, int]
 
 
 _MODEL_CACHE: dict[tuple, OrbitGraph] = {}
@@ -63,32 +61,50 @@ _MODEL_CACHE: dict[tuple, OrbitGraph] = {}
 def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGraph:
     """Enumerate the cosets of the embedded folded group and grade them.
 
-    Raises ValueError if any moved coset changes minimal length by
-    anything other than 1: that would contradict the simple-edge grading
-    and the pair must be rejected.
+    The cosets come from a Todd-Coxeter table of W(g) over the subgroup
+    generated by the folded words, never from a listing of W(g).  Vertex
+    ids follow (length, word) of the lex-first minimal representative.
+    Raises BudgetExceededError, before any table is built, when |W(g)| or
+    |W(h)| from the parabolic chain is over ``budget``; the table's rows
+    count against it too.  Raises ValueError if any moved coset changes
+    minimal length by anything other than 1: that would contradict the
+    simple-edge grading and the pair must be rejected.
     """
-    key = (pair.g_diagram.cartan, pair.sigma.mapping, budget)
+    rs = _cached_root_system(pair.g_diagram)
+    rs_h = _cached_root_system(pair.h_colored.diagram)
+    order_within_budget(rs, budget)
+    order_within_budget(rs_h, budget)
+    key = (pair.g_diagram.cartan, pair.sigma.mapping)
     cached = _MODEL_CACHE.get(key)
     if cached is not None:
         return cached
-    rs = _cached_root_system(pair.g_diagram)
-    W = generate_weyl(rs, budget=budget)
-    subgroup, _ = embed_weyl(pair, W, budget=budget)
-    reps, coset_of = coset_decomposition(W, subgroup)
-    d_g = len(rs.positive_roots)
-    d_h = len(_cached_root_system(pair.h_colored.diagram).positive_roots)
-    vertices = tuple(
-        OrbitVertex(coset_id=cid, min_rep=w, dim=d_h + len(w.word))
-        for cid, w in enumerate(reps)
-    )
+    table = coset_table(pair.g_diagram.cartan, pair.wh_generators, budget=budget)
+    words = coset_words(table)
+    order = sorted(range(len(table)), key=lambda c: (len(words[c]), words[c]))
+    new_id = [0] * len(table)
+    for cid, c in enumerate(order):
+        new_id[c] = cid
     refl = reflection_perms(rs)
+    perms = [tuple(range(len(rs.roots)))] * len(table)
+    for c in order[1:]:
+        # words[c] = (j,) + words[s_j * c], and s_j * c comes earlier
+        j = words[c][0]
+        perms[c] = compose(refl[j], perms[table[c][j]])
+    d_g = len(rs.positive_roots)
+    d_h = len(rs_h.positive_roots)
+    vertices = tuple(
+        OrbitVertex(
+            coset_id=cid,
+            min_rep=WeylElement(perms[c], words[c]),
+            dim=d_h + len(words[c]),
+        )
+        for cid, c in enumerate(order)
+    )
     action_rows = []
     edge_set: set[tuple[int, int, int]] = set()
-    for cid, w in enumerate(reps):
-        row = []
-        for j, s in enumerate(refl):
-            target = coset_of[perm_key(compose(s, w.perm))]
-            row.append(target)
+    for cid, c in enumerate(order):
+        row = tuple(new_id[t] for t in table[c])
+        for j, target in enumerate(row):
             if target != cid:
                 a, b = vertices[cid], vertices[target]
                 lo, hi = (a, b) if a.dim < b.dim else (b, a)
@@ -98,7 +114,7 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
                         f"{hi.dim - lo.dim}, model inconsistency"
                     )
                 edge_set.add((lo.coset_id, hi.coset_id, j))
-        action_rows.append(tuple(row))
+        action_rows.append(row)
     graph = OrbitGraph(
         pair=pair,
         vertices=vertices,
@@ -106,16 +122,9 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
         d_g=d_g,
         d_h=d_h,
         action=tuple(action_rows),
-        group=W,
-        subgroup=subgroup,
-        coset_of=coset_of,
     )
     _MODEL_CACHE[key] = graph
     return graph
-
-
-def orbit_set(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> list[OrbitVertex]:
-    return list(build_graph(pair, budget=budget).vertices)
 
 
 def knop_action(graph: OrbitGraph, alpha: int, V: OrbitVertex) -> OrbitVertex:
@@ -255,18 +264,52 @@ def _leq_matrix(graph: OrbitGraph) -> list[list[bool]]:
     return [[a in cols[b] for b in range(n)] for a in range(n)]
 
 
+def _group_polynomials(pair: MinimalRankPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(P_G, P_H) from the parabolic chain of each diagram."""
+    return (
+        chain_poincare(_cached_root_system(pair.g_diagram)),
+        chain_poincare(_cached_root_system(pair.h_colored.diagram)),
+    )
+
+
+def _is_quotient_certificate(graph: OrbitGraph, order_g: int, order_h: int) -> bool:
+    """The table certificate behind ``top_stabilizer_order``.
+
+    (1) Every Coxeter relator fixes every coset, so the table is a W(g)-set;
+    (2) every folded word fixes coset 0, so W_H lies in its stabilizer;
+    (3) index * |W(h)| = |W(g)|, both orders from the parabolic chain.
+    With the transitivity checked alongside, (1) and (3) give every
+    stabilizer order |W(g)| / index = |W(h)|, the top vertex's included;
+    with (2) and the embedding order certified at validation, the
+    stabilizer of coset 0 is W_H, so the table is W(g)/W_H.
+    """
+    action = graph.action
+    if not is_coxeter_action(graph.pair.g_diagram.cartan, action):
+        return False
+    for word in graph.pair.wh_generators:
+        cid = 0
+        for j in reversed(word):
+            cid = action[cid][j]
+        if cid != 0:
+            return False
+    return len(action) * order_h == order_g
+
+
 def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Run every structural check the orbit model promises.
 
+    P_G and P_H come from parabolic chains, independent of the orbit
+    table, so ``q_times_ph_equals_pg`` is not a tautology.  A stabilizer
+    count is trivially right on a coset table, so ``top_stabilizer_order``
+    asks for a unique top vertex, a transitive action and the table
+    certificate of ``_is_quotient_certificate``, which together prove that
+    every stabilizer, the top vertex's included, has order |W(h)|.
     Failures become report entries; nothing raises on a false check.
     """
     graph = build_graph(pair, budget=budget)
-    W = graph.group
     n = len(graph.vertices)
 
-    p_g = length_poincare(W)
-    w_h = generate_weyl(_cached_root_system(pair.h_colored.diagram), budget=budget)
-    p_h = length_poincare(w_h)
+    p_g, p_h = _group_polynomials(pair)
     q = _dim_histogram(graph)
 
     checks: list[tuple[str, bool]] = []
@@ -286,17 +329,16 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
         frontier = nxt
     checks.append(("action_transitive", len(seen) == n))
 
-    # stabilizer of the top vertex under left multiplication
-    top_candidates = [v for v in graph.vertices if v.dim == graph.d_g]
-    if len(top_candidates) == 1:
-        top = top_candidates[0]
-        stab = 0
-        for w in W.elements.values():
-            if graph.coset_of[perm_key(compose(w.perm, top.min_rep.perm))] == top.coset_id:
-                stab += 1
-        checks.append(("top_stabilizer_order", stab == graph.subgroup.order))
-    else:
-        checks.append(("top_stabilizer_order", False))
+    # stabilizer of the top vertex has order |W(h)|, by the table certificate
+    top_count = sum(1 for v in graph.vertices if v.dim == graph.d_g)
+    checks.append(
+        (
+            "top_stabilizer_order",
+            top_count == 1
+            and len(seen) == n
+            and _is_quotient_certificate(graph, sum(p_g), sum(p_h)),
+        )
+    )
 
     has_incoming = {hi for _, hi, _ in graph.edges}
     has_outgoing = {lo for lo, _, _ in graph.edges}
@@ -375,10 +417,7 @@ def poincare_triple(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
     """(P_G, P_H, Q, Q*P_H == P_G) for a validated pair."""
     graph = build_graph(pair, budget=budget)
-    p_g = length_poincare(graph.group)
-    p_h = length_poincare(
-        generate_weyl(_cached_root_system(pair.h_colored.diagram), budget=budget)
-    )
+    p_g, p_h = _group_polynomials(pair)
     q = _dim_histogram(graph)
     return p_g, p_h, q, poly_mul(q, p_h) == p_g
 

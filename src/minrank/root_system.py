@@ -294,7 +294,11 @@ def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
     if beta not in rs.root_set:
         raise ValueError(f"{beta} is not a root of {rs.diagram.type_label}")
     out = _reflect_coords(rs.diagram.cartan, beta, j)
-    assert out in rs.root_set
+    if out not in rs.root_set:
+        raise ValueError(
+            f"reflection of {beta} at {alpha} left the root set of "
+            f"{rs.diagram.type_label}"
+        )
     return out
 
 

@@ -1,14 +1,17 @@
-"""Weyl groups as exact permutation groups on the indexed root set.
+"""Weyl groups as exact permutation groups on the indexed root set, and
+coset enumeration on their Coxeter presentation.
 
 Elements are keyed by their permutation of the roots; each carries the
 first reduced word found by breadth-first closure, which is also the
-lexicographically smallest reduced word for that element.
+lexicographically smallest reduced word for that element.  The coset
+engine at the end of this module works on words alone: it never lists the
+group, so its cost grows with the number of cosets, not with |W|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .root_system import RootSystem, _reflect_coords, DEFAULT_RANK_CAP
 
@@ -18,7 +21,12 @@ Perm = tuple[int, ...]
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when group enumeration exceeds the configured element budget."""
+    """Raised when a group or coset table exceeds the configured element budget.
+
+    ``partial_count`` is the number of elements or table rows that exist
+    when the budget is hit: 0 when the order was predicted and nothing was
+    built.
+    """
 
     def __init__(self, message: str, partial_count: int) -> None:
         super().__init__(message)
@@ -113,7 +121,7 @@ def generate_weyl(
             raise BudgetExceededError(
                 f"Weyl group of {rs.diagram.type_label} exceeds budget "
                 f"{budget} (order {cached.order})",
-                budget,
+                cached.order,
             )
         return cached
     gens = reflection_perms(rs)
@@ -287,3 +295,230 @@ def min_coset_reps(
     """One minimal representative per left coset: (coset id, element, length)."""
     reps, _ = coset_decomposition(W, W0)
     return [(cid, w, len(w.word)) for cid, w in enumerate(reps)]
+
+
+# --- coset enumeration on the Coxeter presentation ---------------------------
+
+Table = list[list[int]]
+
+# m_ij read from the bond: a_ij * a_ji = 0, 1, 2, 3 gives m_ij = 2, 3, 4, 6.
+_BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def coxeter_matrix(cartan) -> tuple[tuple[int, ...], ...]:
+    """Coxeter matrix of a finite-type Cartan matrix (m_ii = 1)."""
+    n = len(cartan)
+    return tuple(
+        tuple(
+            1 if i == j else _BOND_ORDER[cartan[i][j] * cartan[j][i]]
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def coset_table(cartan, subgroup_words, budget: int | None = None) -> Table:
+    """Todd-Coxeter enumeration of the cosets of a subgroup given by words.
+
+    The group is the Coxeter group of ``cartan``: involutions s_0..s_{n-1}
+    with relators (s_i s_j)^m_ij.  The subgroup H is generated by
+    ``subgroup_words``, each a tuple of generator indices.  The HLT
+    strategy defines cosets row by row, scanning every relator at every
+    live coset, and merges coincidences as they appear.
+
+    Returns the compacted table: ``table[c][j]`` is the right coset c*s_j,
+    coset 0 is H itself, and the other ids follow definition order.  Read
+    as left cosets through H*u <-> u^-1*H, ``table[c][j]`` is s_j times
+    coset c, the left action.  Raises BudgetExceededError when more than
+    ``budget`` rows are defined.
+    """
+    n = len(cartan)
+    m = coxeter_matrix(cartan)
+    relators = [(i, j) * m[i][j] for i in range(n) for j in range(i + 1, n)]
+    table: Table = [[-1] * n]
+    parent = [0]
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def define(c: int, j: int) -> None:
+        if budget is not None and len(table) >= budget:
+            raise BudgetExceededError(
+                f"coset table exceeds budget {budget} "
+                f"(partial count {len(table)} rows)",
+                len(table),
+            )
+        d = len(table)
+        table.append([-1] * n)
+        parent.append(d)
+        table[c][j] = d
+        table[d][j] = c
+
+    def merge(a: int, b: int, queue: list[int]) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        queue: list[int] = []
+        merge(a, b, queue)
+        k = 0
+        while k < len(queue):
+            dead = queue[k]
+            k += 1
+            for j in range(n):
+                d = table[dead][j]
+                if d < 0:
+                    continue
+                table[d][j] = -1
+                mu, nu = find(dead), find(d)
+                if table[mu][j] >= 0:
+                    merge(nu, table[mu][j], queue)
+                elif table[nu][j] >= 0:
+                    merge(mu, table[nu][j], queue)
+                else:
+                    table[mu][j] = nu
+                    table[nu][j] = mu
+
+    def scan_and_fill(c: int, word) -> None:
+        f = b = c
+        i, k = 0, len(word) - 1
+        while True:
+            while i <= k and table[f][word[i]] >= 0:
+                f = table[f][word[i]]
+                i += 1
+            if i > k:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while k >= i and table[b][word[k]] >= 0:
+                b = table[b][word[k]]
+                k -= 1
+            if k < i:
+                coincidence(f, b)
+                return
+            if i == k:
+                table[f][word[i]] = b
+                table[b][word[i]] = f
+                return
+            define(f, word[i])
+
+    for word in subgroup_words:
+        scan_and_fill(0, word)
+    c = 0
+    while c < len(table):
+        for rel in relators:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, rel)
+        if parent[c] == c:
+            for j in range(n):
+                if table[c][j] < 0:
+                    define(c, j)
+        c += 1
+
+    live = [c for c in range(len(table)) if parent[c] == c]
+    new_id = {c: k for k, c in enumerate(live)}
+    return [[new_id[find(table[c][j])] for j in range(n)] for c in live]
+
+
+def is_coxeter_action(cartan, table: Table) -> bool:
+    """True when every generator acts as an involution and every relator
+    (s_i s_j)^m_ij fixes every row of ``table``."""
+    n = len(cartan)
+    m = coxeter_matrix(cartan)
+    rows = range(len(table))
+    if any(table[table[c][j]][j] != c for c in rows for j in range(n)):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for c in rows:
+                d = c
+                for _ in range(m[i][j]):
+                    d = table[table[d][j]][i]
+                if d != c:
+                    return False
+    return True
+
+
+def coset_words(table: Table) -> list[tuple[int, ...]]:
+    """Lex-first shortest word w with w*coset 0 = c, for each coset c.
+
+    A breadth-first search from coset 0 gives each coset's distance; the
+    word starts with the smallest j for which s_j*c is one step closer and
+    continues with the word of s_j*c.  Its length is the minimal length in
+    the coset, and it is the lexicographically smallest reduced word among
+    the coset's elements of that length.
+    """
+    n = len(table[0])
+    dist = [-1] * len(table)
+    dist[0] = 0
+    order = [0]
+    for c in order:
+        for d in table[c]:
+            if dist[d] < 0:
+                dist[d] = dist[c] + 1
+                order.append(d)
+    if len(order) != len(table):
+        raise ValueError("coset table is not connected")
+    words: list[tuple[int, ...]] = [()] * len(table)
+    for c in order[1:]:
+        j = next(j for j in range(n) if dist[table[c][j]] == dist[c] - 1)
+        words[c] = (j,) + words[table[c][j]]
+    return words
+
+
+def _length_histogram(table: Table) -> tuple[int, ...]:
+    lengths = [len(w) for w in coset_words(table)]
+    coeffs = [0] * (max(lengths) + 1)
+    for k in lengths:
+        coeffs[k] += 1
+    return tuple(coeffs)
+
+
+def chain_poincare(rs: RootSystem) -> tuple[int, ...]:
+    """Length polynomial P_W of the Weyl group, without enumerating W.
+
+    Deletes one vertex s at a time and multiplies the histograms of the
+    parabolic quotients: P_W = P^J * P_{W_J} with J = S - {s}, down to the
+    empty set.  Each factor is the coset-length histogram of a coset table
+    for W_J in W_S.  The deleted vertex is the one in the fewest remaining
+    positive roots, which keeps deg P^J = N(W_S) - N(W_J), and in finite
+    type the quotient, small.
+    """
+    return _chain_poincare(rs.diagram.cartan, rs.positive_roots)
+
+
+@lru_cache(maxsize=None)
+def _chain_poincare(cartan, positive_roots) -> tuple[int, ...]:
+    remaining = list(range(len(cartan)))
+    live = list(positive_roots)
+    poly: tuple[int, ...] = (1,)
+    while remaining:
+        s = min(remaining, key=lambda v: sum(1 for r in live if r[v]))
+        sub = [[cartan[a][b] for b in remaining] for a in remaining]
+        words = [(k,) for k, v in enumerate(remaining) if v != s]
+        poly = poly_mul(poly, _length_histogram(coset_table(sub, words)))
+        remaining.remove(s)
+        live = [r for r in live if r[s] == 0]
+    return poly
+
+
+def order_within_budget(rs: RootSystem, budget: int) -> int:
+    """|W| = P_W(1) from the parabolic chain; BudgetExceededError if it is
+    over ``budget``, raised before anything of that size is built."""
+    order = sum(chain_poincare(rs))
+    if order > budget:
+        raise BudgetExceededError(
+            f"Weyl group of {rs.diagram.type_label} has order {order}, "
+            f"over the element budget {budget}",
+            0,
+        )
+    return order

@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
 import minrank as mr
 from minrank.cli import main
 from minrank.root_system import diagram_to_json
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +220,60 @@ def test_json_output_is_sorted_and_newline_terminated(capsys):
     assert out.endswith("\n")
     obj = json.loads(out)
     assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def forbid_group_listing(monkeypatch):
+    """Make any call of generate_weyl, under any module name, fail the test."""
+    import sys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_weyl was called")
+
+    original = mr.weyl.generate_weyl
+    for name, module in list(sys.modules.items()):
+        if name == "minrank" or name.startswith("minrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_verify_diag_a4_past_the_enumeration_rank_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "diag:A4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["orbits"] == 120
+    assert len(obj["checks"]) == 11
+    assert all(passed is True for passed in obj["checks"].values())
+    assert obj["ok"] is True
+
+
+def test_poincare_identity_e7_without_listing_the_group(capsys, monkeypatch):
+    forbid_group_listing(monkeypatch)
+    code, out, _ = run_cli(capsys, "poincare", "--pair", "identity:E7")
+    assert code == 0
+    obj = json.loads(out)
+    assert tuple(obj["P_G"]) == oracles.poincare_product("E", 7)
+    assert obj["P_H"] == obj["P_G"]
+    assert obj["Q"] == [1]
+    assert obj["factorization_ok"] is True
+
+
+def test_poincare_identity_e8_is_refused_before_anything_is_built(
+    capsys, monkeypatch
+):
+    forbid_group_listing(monkeypatch)
+    code, out, err = run_cli(capsys, "poincare", "--pair", "identity:E8")
+    assert code == 3
+    assert out == ""
+    assert "E8" in err and str(oracles.weyl_order("E", 8)) in err
+
+
+def test_graph_over_budget_names_the_group_and_its_order(capsys):
+    code, out, err = run_cli(capsys, "graph", "--pair", "E6_F4", "--budget", "1000")
+    assert code == 3
+    assert out == ""
+    named = re.search(r"Weyl group of ([A-G])(\d+) has order (\d+)", err)
+    assert named is not None, err
+    letter, rank, order = named.group(1), int(named.group(2)), int(named.group(3))
+    assert (letter, rank) in {("E", 6), ("F", 4)}
+    assert order == oracles.weyl_order(letter, rank) > 1000

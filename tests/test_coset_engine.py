@@ -1,0 +1,180 @@
+"""The coset engine against the enumeration engine it replaced in the orbit
+graphs: Todd-Coxeter tables and parabolic chains on one side, the listed
+Weyl group, its embedded subgroup and the (length, lex) coset scan on the
+other."""
+
+import pytest
+
+import minrank as mr
+from minrank.orbits import _MODEL_CACHE
+from minrank.weyl import (
+    BudgetExceededError,
+    chain_poincare,
+    compose,
+    coset_decomposition,
+    coset_table,
+    coset_words,
+    coxeter_matrix,
+    is_coxeter_action,
+    length_poincare,
+    perm_key,
+    reflection_perms,
+)
+
+import oracles
+
+CONNECTED_RANK6 = [
+    ("A", 1), ("A", 2), ("C", 2), ("G", 2),
+    ("A", 3), ("B", 3), ("C", 3),
+    ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4),
+    ("A", 5), ("B", 5), ("C", 5), ("D", 5),
+    ("A", 6), ("B", 6), ("C", 6), ("D", 6), ("E", 6),
+]
+
+
+def root_system(letter, rank):
+    return mr.build_root_system(mr.build_dynkin(letter, rank))
+
+
+def reference_graph(pair):
+    """Vertices (id, dim, word, perm), edges and action of the orbit graph,
+    from the fully listed group."""
+    rs = mr.build_root_system(pair.g_diagram)
+    W = mr.generate_weyl(rs)
+    subgroup, _ = mr.embed_weyl(pair, W)
+    reps, coset_of = coset_decomposition(W, subgroup)
+    d_h = len(mr.build_root_system(pair.h_colored.diagram).positive_roots)
+    dims = [d_h + len(w.word) for w in reps]
+    vertices = [(cid, dims[cid], w.word, w.perm) for cid, w in enumerate(reps)]
+    action = [
+        tuple(coset_of[perm_key(compose(s, w.perm))] for s in reflection_perms(rs))
+        for w in reps
+    ]
+    edges = set()
+    for cid, row in enumerate(action):
+        for j, target in enumerate(row):
+            if target != cid:
+                lo, hi = sorted((cid, target), key=lambda c: dims[c])
+                edges.add((lo, hi, j))
+    return vertices, sorted(edges), action
+
+
+def test_build_graph_agrees_with_group_enumeration_on_all_35_pairs(classified6):
+    pairs = [p for p in classified6 if p.g_diagram.rank <= 6]
+    assert len(pairs) == 35
+    for pair in pairs:
+        key = (pair.g_diagram.type_label, pair.family, pair.sigma.two_cycles)
+        graph = mr.build_graph(pair)
+        vertices, edges, action = reference_graph(pair)
+        got = [
+            (v.coset_id, v.dim, v.min_rep.word, v.min_rep.perm)
+            for v in graph.vertices
+        ]
+        assert got == vertices, key
+        assert list(graph.edges) == edges, key
+        assert list(graph.action) == action, key
+
+
+@pytest.mark.parametrize("letter,rank", CONNECTED_RANK6)
+def test_chain_poincare_matches_the_listed_group(letter, rank):
+    rs = root_system(letter, rank)
+    assert chain_poincare(rs) == length_poincare(mr.generate_weyl(rs))
+
+
+@pytest.mark.parametrize("letter,rank", [("D", 7), ("E", 7), ("E", 8)])
+def test_chain_order_matches_the_degree_product(letter, rank):
+    rs = root_system(letter, rank)
+    assert sum(chain_poincare(rs)) == oracles.weyl_order(letter, rank)
+    assert chain_poincare(rs) == oracles.poincare_product(letter, rank)
+
+
+def test_chain_poincare_of_a_product_is_the_product():
+    b2, g2 = mr.build_dynkin("C", 2), mr.build_dynkin("G", 2)
+    rs = mr.build_root_system(mr.disjoint_union(b2, g2))
+    assert chain_poincare(rs) == oracles.poly_mul(
+        oracles.poincare_product("C", 2), oracles.poincare_product("G", 2)
+    )
+
+
+def test_coxeter_matrix_reads_the_bonds():
+    assert coxeter_matrix(mr.build_dynkin("G", 2).cartan) == ((1, 6), (6, 1))
+    assert coxeter_matrix(mr.build_dynkin("B", 3).cartan) == (
+        (1, 3, 2),
+        (3, 1, 4),
+        (2, 4, 1),
+    )
+
+
+def test_parabolic_coset_table_and_words():
+    cartan = mr.build_dynkin("A", 3).cartan
+    # W(A2) = <s_0, s_1> in W(A3): four cosets, lengths 0..3
+    table = coset_table(cartan, [(0,), (1,)])
+    assert len(table) == 4
+    assert is_coxeter_action(cartan, table)
+    words = coset_words(table)
+    assert sorted(words, key=lambda w: (len(w), w)) == [(), (2,), (1, 2), (0, 1, 2)]
+    # the trivial subgroup gives the regular action
+    assert len(coset_table(cartan, [])) == 24
+
+
+def test_is_coxeter_action_rejects_a_broken_table():
+    cartan = mr.build_dynkin("A", 2).cartan
+    assert is_coxeter_action(cartan, coset_table(cartan, []))
+    # the sign action satisfies (s_0 s_1)^3 = 1
+    assert is_coxeter_action(cartan, [[1, 1], [0, 0]])
+    # s_0 swaps, s_1 fixes: both involutions, but (s_0 s_1)^3 = s_0
+    assert not is_coxeter_action(cartan, [[1, 0], [0, 1]])
+    # s_1 is not an involution
+    assert not is_coxeter_action(cartan, [[1, 1], [0, 2], [2, 0]])
+
+
+def test_coset_table_budget_counts_defined_rows():
+    cartan = mr.build_dynkin("A", 3).cartan
+    with pytest.raises(BudgetExceededError) as info:
+        coset_table(cartan, [], budget=5)
+    assert info.value.partial_count == 5
+
+
+def test_build_graph_cache_is_shared_across_budgets():
+    diagram = mr.build_dynkin("A", 3)
+    sigma = mr.FoldingInvolution.from_pairs(diagram, [("1", "3")])
+    pair = mr.validate_candidate(diagram, sigma).pair
+    graph = mr.build_graph(pair, budget=100)
+    assert mr.build_graph(pair, budget=24) is graph
+    assert _MODEL_CACHE[(diagram.cartan, sigma.mapping)] is graph
+    with pytest.raises(BudgetExceededError) as info:
+        mr.build_graph(pair, budget=23)
+    assert "A3" in str(info.value) and "24" in str(info.value)
+
+
+def test_build_graph_never_lists_a_group():
+    """D7 -> B6: seven orbits in W(D7) of order 322560, with no element listed."""
+    diagram = mr.build_dynkin("D", 7)
+    sigma = mr.FoldingInvolution.from_pairs(diagram, [("6", "7")])
+    report = mr.validate_candidate(diagram, sigma)
+    assert report.ok and report.pair.h_colored.diagram.type_label == "B6"
+    graph = mr.build_graph(report.pair)
+    assert [v.dim for v in graph.vertices] == list(range(36, 43))
+    assert [len(v.min_rep.word) for v in graph.vertices] == list(range(7))
+    assert diagram not in mr.weyl._GROUP_CACHE
+
+
+def test_quotient_certificate_fails_on_each_broken_part():
+    from dataclasses import replace
+
+    from minrank.orbits import _is_quotient_certificate
+
+    diagram = mr.build_dynkin("A", 3)
+    sigma = mr.FoldingInvolution.from_pairs(diagram, [("1", "3")])
+    graph = mr.build_graph(mr.validate_candidate(diagram, sigma).pair)
+    assert _is_quotient_certificate(graph, 24, 8)
+    # index * |W(h)| != |W(g)|
+    assert not _is_quotient_certificate(graph, 24, 4)
+    # a subgroup word that moves coset 0
+    moved = replace(graph, pair=replace(graph.pair, wh_generators=((0,),)))
+    assert not _is_quotient_certificate(moved, 24, 8)
+    # an action that breaks a Coxeter relator
+    action = [list(row) for row in graph.action]
+    action[0][1], action[1][1] = 1, 0
+    broken = replace(graph, action=tuple(tuple(row) for row in action))
+    assert not _is_quotient_certificate(broken, 24, 8)

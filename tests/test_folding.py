@@ -320,3 +320,15 @@ def test_canonical_key_is_relabel_invariant(rnd):
     report = mr.validate_candidate(other, other_sigma)
     assert report.ok
     assert report.pair.h_colored.diagram.type_label == "C2"
+
+
+def test_evaluate_row_raises_on_an_accepted_report_without_a_pair(monkeypatch):
+    from minrank import folding
+
+    monkeypatch.setattr(
+        folding, "validate_candidate", lambda g, sigma: mr.ValidationReport(ok=True)
+    )
+    a3 = mr.build_dynkin("A", 3)
+    sigma = mr.FoldingInvolution.from_pairs(a3, [("1", "3")])
+    with pytest.raises(ValueError, match="no pair"):
+        folding._evaluate_row(a3, sigma, "C2", ("1",))

@@ -128,6 +128,18 @@ def test_reflect_requires_a_simple_root():
         mr.reflect(rs, long_root, rs.simple_roots[0])
 
 
+def test_reflect_raises_when_the_root_set_is_not_closed():
+    rs = rs_of("A", 2)
+    broken = mr.RootSystem(
+        diagram=rs.diagram,
+        roots=rs.roots,
+        positive_roots=rs.positive_roots,
+        root_set=rs.root_set - {(1, 1)},
+    )
+    with pytest.raises(ValueError, match="left the root set"):
+        mr.reflect(broken, rs.simple_roots[0], rs.simple_roots[1])
+
+
 def test_is_orthogonal():
     rs = rs_of("A", 3)
     a1, a2, a3 = rs.simple_roots

@@ -109,6 +109,11 @@ def test_budget_exceeded_raises_with_partial_count():
     with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs, budget=5)
     assert info.value.partial_count >= 5
+    # a cached group reports its true order, not the budget
+    assert mr.generate_weyl(rs).order == 24
+    with pytest.raises(BudgetExceededError) as info:
+        mr.generate_weyl(rs, budget=5)
+    assert info.value.partial_count == 24
 
 
 def test_rank_cap_rejects_large_diagrams():
