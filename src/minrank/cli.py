@@ -95,7 +95,10 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
             diagram, sigma = candidate_from_json(json.loads(s))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed candidate JSON: {exc}") from exc
-        return validate_candidate(diagram, sigma, budget=budget)
+        try:
+            return validate_candidate(diagram, sigma, budget=budget)
+        except ValueError as exc:  # the root closure of g did not close
+            raise UsageError(f"candidate diagram g: {exc}") from exc
     if s.startswith("identity:"):
         letter, rank = _parse_type(s[len("identity:"):])
         diagram = _build_typed(letter, rank)
@@ -279,9 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="Weyl group element budget: exit 3 when W(g) or W(h) has "
-            "more than N elements, or a coset table or subgroup closure "
-            "grows past N (default from MINRANK_BUDGET "
+            help="Weyl group element budget, at least 1: exit 3 when W(g) or "
+            "W(h) has more than N elements, or a coset table defines more "
+            "than N rows (default from MINRANK_BUDGET "
             f"or {DEFAULT_BUDGET})",
         )
         if with_pair:
@@ -313,18 +316,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        budget = ns.budget
+        budget, source = ns.budget, "--budget"
         if budget is None:
             raw = os.environ.get("MINRANK_BUDGET")
-            if raw is None:
-                budget = DEFAULT_BUDGET
-            else:
+            budget, source = DEFAULT_BUDGET, "MINRANK_BUDGET"
+            if raw is not None:
                 try:
                     budget = int(raw)
                 except ValueError as exc:
                     raise UsageError(
                         f"MINRANK_BUDGET must be an integer, got {raw!r}"
                     ) from exc
+        if budget < 1:
+            raise UsageError(f"{source} must be at least 1, got {budget}")
         cfg = RunConfig(
             command=ns.command,
             max_rank=getattr(ns, "max_rank", None),

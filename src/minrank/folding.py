@@ -21,19 +21,24 @@ from .root_system import (
     RootSystem,
     build_dynkin,
     build_root_system,
+    components,
     diagram_to_json,
     diagram_from_json,
     disjoint_union,
     identify_component,
     string_pairing,
     _basis,
+    _identification_candidates,
+    _reflect_coords,
 )
 from .weyl import (
     DEFAULT_BUDGET,
     WeylElement,
     WeylGroup,
     Subgroup,
+    chain_poincare,
     compose,
+    coset_table,
     full_subgroup,
     order_within_budget,
     perm_closure,
@@ -154,105 +159,13 @@ def _fail(check: str, tag: str) -> ValidationReport:
     return ValidationReport(ok=False, failed_check=check, tag=tag)
 
 
-def _project_all(
-    rs: RootSystem, orbits: tuple[tuple[int, ...], ...]
-) -> dict[Root, list[Root]]:
-    fibers: dict[Root, list[Root]] = {}
-    for r in rs.roots:
-        img = tuple(sum(r[j] for j in orbit) for orbit in orbits)
-        fibers.setdefault(img, []).append(r)
-    return fibers
+class _CheckFailed(ValueError):
+    """A folding check failed; ``check`` and ``tag`` name it in reports."""
 
-
-def _folded_cartan(
-    image_set: frozenset[Root], m: int
-) -> tuple[tuple[int, ...], ...] | None:
-    """Cartan matrix of the image simple roots via root strings, or None."""
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append(2)
-                continue
-            v = string_pairing(image_set, _basis(m, i), _basis(m, j))
-            if v is None or v not in (0, -1, -2, -3):
-                return None
-            row.append(v)
-        rows.append(tuple(row))
-    for i in range(m):
-        for j in range(m):
-            if (rows[i][j] == 0) != (rows[j][i] == 0):
-                return None
-    return tuple(rows)
-
-
-def _components_of(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(cartan)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            comp.append(i)
-            stack.extend(j for j in range(n) if j not in seen and cartan[i][j] != 0)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def _standard_presentation(
-    cartan_h: tuple[tuple[int, ...], ...],
-    orbits: tuple[tuple[int, ...], ...],
-) -> tuple[DynkinDiagram, tuple[str, ...], tuple[int, ...]] | None:
-    """Relabel the folded Cartan matrix into standard Bourbaki form.
-
-    Returns (diagram, black vertex ids, orbit index per diagram vertex);
-    None when some component matches no finite type.  Components are
-    ordered by (letter, rank, orbit indices) for determinism.
-    """
-    identified = []
-    for comp in _components_of(cartan_h):
-        hit = identify_component(cartan_h, comp)
-        if hit is None:
-            return None
-        letter, rank, perm = hit
-        orbit_idx = tuple(comp[perm[k]] for k in range(rank))
-        identified.append((letter, rank, orbit_idx))
-    identified.sort()
-    labels = []
-    orbit_of_vertex: list[int] = []
-    for letter, rank, orbit_idx in identified:
-        labels.append(f"{letter}{rank}")
-        orbit_of_vertex.extend(orbit_idx)
-    n = len(orbit_of_vertex)
-    cartan = tuple(
-        tuple(cartan_h[orbit_of_vertex[a]][orbit_of_vertex[b]] for b in range(n))
-        for a in range(n)
-    )
-    diagram = DynkinDiagram(
-        type_label="+".join(labels),
-        cartan=cartan,
-        vertices=tuple(str(i + 1) for i in range(n)),
-    )
-    black = tuple(
-        str(v + 1) for v in range(n) if len(orbits[orbit_of_vertex[v]]) == 2
-    )
-    return diagram, black, tuple(orbit_of_vertex)
-
-
-def _generator_perm(rs: RootSystem, orbit: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of the indexed roots for the product of the orbit's reflections."""
-    perms = reflection_perms(rs)
-    out = tuple(range(len(rs.roots)))
-    for j in sorted(orbit):
-        out = compose(out, perms[j])
-    return out
+    def __init__(self, check: str, tag: str, message: str) -> None:
+        super().__init__(message)
+        self.check = check
+        self.tag = tag
 
 
 def _is_diagonal(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
@@ -270,8 +183,9 @@ def _is_straight_swap(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> boo
     """True when g is two identical blocks and sigma is i <-> i+n.
 
     For such candidates the embedded generators are (s_i, s_i) in the
-    product group, whose closure is the graph of the identity isomorphism;
-    its order is |W(block)| and need not be recomputed.
+    product group, which generate the graph of the identity isomorphism;
+    its order is |W(block)|, and its coset table, of |W(block)| rows, need
+    not be built.
     """
     n = g_diagram.rank // 2
     if g_diagram.rank != 2 * n or n == 0:
@@ -328,6 +242,120 @@ def _family_name(
     return _FOLD_FAMILIES.get((gl, gr, hl, hr), f"{gl}{gr}_{hl}{hr}")
 
 
+def restriction_map(
+    g_diagram: DynkinDiagram, sigma: FoldingInvolution
+) -> RestrictionData:
+    """Project the root set along the orbit coordinates of ``sigma``.
+
+    Checks (a) and (b): raises ValueError when a 2-cycle is not
+    orthogonal, a fiber has three or more elements, or the two roots of a
+    2-fiber are not orthogonal.  Fibers are checked in root order.
+    """
+    if len(sigma.mapping) != g_diagram.rank:
+        raise ValueError("involution size does not match diagram rank")
+    rs = _cached_root_system(g_diagram)
+    for i, j in sigma.two_cycles:
+        if g_diagram.cartan[i][j] != 0:
+            raise _CheckFailed(
+                "a", "nonorthogonal_pair", f"vertices {i} and {j} are not orthogonal"
+            )
+    orbits = sigma.orbits
+    fibers: dict[Root, list[Root]] = {}
+    for r in rs.roots:
+        img = tuple(sum(r[j] for j in orbit) for orbit in orbits)
+        fibers.setdefault(img, []).append(r)
+    for img, fiber in fibers.items():
+        if len(fiber) > 2:
+            raise _CheckFailed(
+                "b", "fiber_size_3", f"fiber over {img} has {len(fiber)} elements"
+            )
+        if len(fiber) == 2 and not (
+            string_pairing(rs.root_set, fiber[0], fiber[1]) == 0
+            and string_pairing(rs.root_set, fiber[1], fiber[0]) == 0
+        ):
+            raise _CheckFailed(
+                "b", "nonorthogonal_fiber", f"the roots over {img} are not orthogonal"
+            )
+    return RestrictionData(
+        orbits=orbits,
+        image_roots=tuple(sorted(fibers)),
+        fibers={img: tuple(f) for img, f in fibers.items()},
+    )
+
+
+def _folded_presentation(
+    rho: RestrictionData,
+) -> tuple[ColoredDynkin, tuple[tuple[int, ...], ...]]:
+    """Check (c): the folded diagram in standard Bourbaki form, with the
+    orbit behind each of its vertices.
+
+    The folded Cartan matrix is read off root strings in the image; each
+    component is relabeled to its standard type, components ordered by
+    (letter, rank, orbit indices).  Raises ValueError unless the image is
+    exactly the root set of that matrix.
+    """
+    m = len(rho.orbits)
+    image_set = rho.image_set
+    cartan_h = tuple(
+        tuple(
+            2 if i == j else string_pairing(image_set, _basis(m, i), _basis(m, j))
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+    try:  # the pairings must form a Cartan matrix
+        DynkinDiagram("", cartan_h, tuple(map(str, range(m))))
+    except ValueError as exc:
+        raise _CheckFailed("c", "image_not_root_system", str(exc)) from None
+    identified = []
+    for comp in components(cartan_h):
+        hit = identify_component(cartan_h, comp)
+        if hit is None:
+            raise _CheckFailed(
+                "c",
+                "image_not_root_system",
+                "folded Cartan matrix is not of finite type",
+            )
+        letter, rank, perm = hit
+        identified.append((letter, rank, tuple(comp[k] for k in perm)))
+    identified.sort()
+    orbit_of_vertex = [k for _, _, idx in identified for k in idx]
+    h_diagram = DynkinDiagram(
+        type_label="+".join(f"{letter}{rank}" for letter, rank, _ in identified),
+        cartan=tuple(
+            tuple(cartan_h[a][b] for b in orbit_of_vertex) for a in orbit_of_vertex
+        ),
+        vertices=tuple(str(v + 1) for v in range(m)),
+    )
+    vertex_of_orbit = {k: v for v, k in enumerate(orbit_of_vertex)}
+    closure = {
+        tuple(r[vertex_of_orbit[k]] for k in range(m))
+        for r in _cached_root_system(h_diagram).roots
+    }
+    if closure != image_set:
+        raise _CheckFailed(
+            "c", "image_not_root_system",
+            "image is not the root set of the folded Cartan matrix",
+        )
+    wh_generators = tuple(rho.orbits[k] for k in orbit_of_vertex)
+    black = tuple(str(v + 1) for v, w in enumerate(wh_generators) if len(w) == 2)
+    return ColoredDynkin(diagram=h_diagram, black=black), wh_generators
+
+
+def folded_simple_system(rho: RestrictionData) -> ColoredDynkin:
+    """Colored diagram on the image simple roots, Cartan data from root strings.
+
+    Raises ValueError when the image is not a root system (check c).
+    """
+    return _folded_presentation(rho)[0]
+
+
+def _apply_word(cartan, word: tuple[int, ...], root: Root) -> Root:
+    for j in word:
+        root = _reflect_coords(cartan, root, j)
+    return root
+
+
 def validate_candidate(
     g_diagram: DynkinDiagram,
     sigma: FoldingInvolution,
@@ -336,84 +364,36 @@ def validate_candidate(
     """Run the folding checks in order; failures are report entries.
 
     Checks: (a) 2-cycles orthogonal; (b) fibers of size 1 or 2, 2-fibers
-    orthogonal; (c) image equals the root system of the folded Cartan
-    matrix; (d) root count identity; (e) embedded generators map fibers
-    onto fibers; (f) preimages of folded simples are the ambient simples;
-    (g) identity/diagonal tagging.  On success the report carries the
-    assembled MinimalRankPair.
+    orthogonal (both in ``restriction_map``); (c) image equals the root
+    system of the folded Cartan matrix (``folded_simple_system``); (d)
+    root count identity; (e) embedded generators map fibers onto fibers;
+    (f) preimages of folded simples are the ambient simples; (g)
+    identity/diagonal tagging; then the embedding order.  On success the
+    report carries the assembled MinimalRankPair.
     """
-    if len(sigma.mapping) != g_diagram.rank:
-        raise ValueError("involution size does not match diagram rank")
-    rs = _cached_root_system(g_diagram)
-
-    # (a) 2-cycles must join orthogonal simple roots
-    for i, j in sigma.two_cycles:
-        if g_diagram.cartan[i][j] != 0:
-            return _fail("a", "nonorthogonal_pair")
-
-    # (b) fiber sizes and orthogonality
-    orbits = sigma.orbits
-    raw_fibers = _project_all(rs, orbits)
-    for img, fiber in raw_fibers.items():
-        if len(fiber) > 2:
-            return _fail("b", "fiber_size_3")
-        if len(fiber) == 2:
-            r1, r2 = fiber
-            if string_pairing(rs.root_set, r1, r2) != 0:
-                return _fail("b", "nonorthogonal_fiber")
-            if string_pairing(rs.root_set, r2, r1) != 0:
-                return _fail("b", "nonorthogonal_fiber")
-
-    image_roots = tuple(sorted(raw_fibers))
-    image_set = frozenset(image_roots)
-    m = len(orbits)
-
-    # (c) image must be the root system generated by the folded Cartan matrix
-    cartan_h = _folded_cartan(image_set, m)
-    if cartan_h is None:
-        return _fail("c", "image_not_root_system")
-    presentation = _standard_presentation(cartan_h, orbits)
-    if presentation is None:
-        return _fail("c", "image_not_root_system")
-    h_diagram, black, orbit_of_vertex = presentation
     try:
-        closure = build_root_system(
-            DynkinDiagram(
-                type_label=h_diagram.type_label,
-                cartan=cartan_h,
-                vertices=tuple(str(i + 1) for i in range(m)),
-            )
-        )
-    except ValueError:
-        return _fail("c", "image_not_root_system")
-    if frozenset(closure.roots) != image_set:
-        return _fail("c", "image_not_root_system")
+        rho = restriction_map(g_diagram, sigma)
+        h_colored, wh_generators = _folded_presentation(rho)
+    except _CheckFailed as exc:
+        return _fail(exc.check, exc.tag)
+    rs = _cached_root_system(g_diagram)
+    cartan = g_diagram.cartan
 
     # (d) every ambient root is counted once per fiber element
-    n1 = sum(1 for f in raw_fibers.values() if len(f) == 1)
-    n2 = sum(1 for f in raw_fibers.values() if len(f) == 2)
-    if len(rs.roots) != n1 + 2 * n2:
+    if len(rs.roots) != sum(len(f) for f in rho.fibers.values()):
         return _fail("d", "root_count")
 
     # (e) embedded generators must map every 2-fiber into a single fiber
-    gen_perms = [
-        _generator_perm(rs, orbits[orbit_of_vertex[v]])
-        for v in range(h_diagram.rank)
-    ]
-    proj_of = {r: img for img, fiber in raw_fibers.items() for r in fiber}
-    for perm in gen_perms:
-        for img, fiber in raw_fibers.items():
-            if len(fiber) != 2:
-                continue
-            a = proj_of[rs.roots[perm[rs.root_index[fiber[0]]]]]
-            b = proj_of[rs.roots[perm[rs.root_index[fiber[1]]]]]
-            if a != b:
+    for word in wh_generators:
+        for fiber in rho.fibers.values():
+            if len(fiber) == 2 and len(
+                {rho.project(_apply_word(cartan, word, r)) for r in fiber}
+            ) != 1:
                 return _fail("e", "wh_stability")
 
     # (f) preimages of the folded simple roots are exactly the simples
-    preimage: set[Root] = set()
-    for k in range(m):
-        preimage.update(raw_fibers.get(_basis(m, k), ()))
+    m = len(rho.orbits)
+    preimage = {r for k in range(m) for r in rho.fibers.get(_basis(m, k), ())}
     if preimage != set(rs.simple_roots):
         return _fail("f", "simple_preimage")
 
@@ -425,72 +405,34 @@ def validate_candidate(
     if diagonal:
         tags = ("diagonal pair",)
 
-    rho = RestrictionData(
-        orbits=orbits,
-        image_roots=image_roots,
-        fibers={img: tuple(f) for img, f in raw_fibers.items()},
-    )
-    wh_generators = tuple(
-        orbits[orbit_of_vertex[v]] for v in range(h_diagram.rank)
-    )
-    family = _family_name(g_diagram, sigma, h_diagram, diagonal)
+    # embedded subgroup must realize the abstract folded Weyl group: the
+    # folded words generate a subgroup of order |W(g)| / index, the index
+    # read off their coset table.  The identity and the straight component
+    # swap are exempt (see _is_straight_swap).
+    if not sigma.is_identity and not _is_straight_swap(g_diagram, sigma):
+        expected = order_within_budget(_cached_root_system(h_colored.diagram), budget)
+        index = len(coset_table(cartan, wh_generators, budget=budget))
+        if index * expected != sum(chain_poincare(rs)):
+            return _fail("embed", "embedding_order")
+
     pair = MinimalRankPair(
         g_diagram=g_diagram,
         sigma=sigma,
-        h_colored=ColoredDynkin(diagram=h_diagram, black=black),
+        h_colored=h_colored,
         rho=rho,
         wh_generators=wh_generators,
-        family=family,
+        family=_family_name(g_diagram, sigma, h_colored.diagram, diagonal),
     )
-
-    # embedded subgroup must realize the abstract folded Weyl group; the
-    # straight component swap is exempt (its closure is the graph of the
-    # identity isomorphism between the two blocks, of order |W(block)|)
-    if not sigma.is_identity and not _is_straight_swap(g_diagram, sigma):
-        expected = order_within_budget(_cached_root_system(h_diagram), budget)
-        sub_perms = perm_closure([_generator_perm(rs, o) for o in wh_generators],
-                                 len(rs.roots), budget=budget)
-        if len(sub_perms) != expected:
-            return _fail("embed", "embedding_order")
-
     return ValidationReport(ok=True, tags=tags, pair=pair)
 
 
-def restriction_map(
-    g_diagram: DynkinDiagram, sigma: FoldingInvolution
-) -> RestrictionData:
-    """Project the root set along the orbit coordinates of ``sigma``.
-
-    Raises ValueError when a 2-cycle is not orthogonal or a fiber has
-    three or more elements.
-    """
-    rs = _cached_root_system(g_diagram)
-    for i, j in sigma.two_cycles:
-        if g_diagram.cartan[i][j] != 0:
-            raise ValueError(f"vertices {i} and {j} are not orthogonal")
-    orbits = sigma.orbits
-    raw_fibers = _project_all(rs, orbits)
-    for img, fiber in raw_fibers.items():
-        if len(fiber) > 2:
-            raise ValueError(f"fiber over {img} has {len(fiber)} elements")
-    return RestrictionData(
-        orbits=orbits,
-        image_roots=tuple(sorted(raw_fibers)),
-        fibers={img: tuple(f) for img, f in raw_fibers.items()},
-    )
-
-
-def folded_simple_system(rho: RestrictionData) -> ColoredDynkin:
-    """Colored diagram on the image simple roots, Cartan data from root strings."""
-    m = len(rho.orbits)
-    cartan_h = _folded_cartan(rho.image_set, m)
-    if cartan_h is None:
-        raise ValueError("image root strings do not form a finite Cartan matrix")
-    presentation = _standard_presentation(cartan_h, rho.orbits)
-    if presentation is None:
-        raise ValueError("folded Cartan matrix is not of finite type")
-    diagram, black, _ = presentation
-    return ColoredDynkin(diagram=diagram, black=black)
+def _generator_perm(rs: RootSystem, orbit: tuple[int, ...]) -> tuple[int, ...]:
+    """Permutation of the indexed roots for the product of the orbit's reflections."""
+    perms = reflection_perms(rs)
+    out = tuple(range(len(rs.roots)))
+    for j in sorted(orbit):
+        out = compose(out, perms[j])
+    return out
 
 
 def embed_weyl(
@@ -516,25 +458,10 @@ def embed_weyl(
         raise ValueError(
             f"embedded subgroup has order {len(perms)}, expected {expected}"
         )
-    return Subgroup(W, tuple(perms), tuple(gen_perms)), generators
+    return Subgroup(W, tuple(perms)), generators
 
 
 # --- classification -----------------------------------------------------------
-
-
-def _connected_letters(rank: int) -> list[str]:
-    if rank == 1:
-        return ["A"]
-    if rank == 2:
-        return ["A", "C", "G"]
-    if rank == 3:
-        return ["A", "B", "C"]
-    letters = ["A", "B", "C", "D"]
-    if rank == 4:
-        letters.append("F")
-    if rank in (6, 7, 8):
-        letters.append("E")
-    return letters
 
 
 def _orthogonal_involutions(diagram: DynkinDiagram) -> list[FoldingInvolution]:
@@ -619,22 +546,18 @@ def classify(
         if report.ok and report.pair is not None:
             found[key] = report.pair
 
-    for rank in range(1, max_rank + 1):
-        for letter in _connected_letters(rank):
-            diagram = build_dynkin(letter, rank)
-            for sigma in _orthogonal_involutions(diagram):
-                _add(
-                    _canonical_key(diagram.cartan, sigma.mapping), diagram, sigma
-                )
-
-    for rank in range(1, max_rank + 1):
-        for letter in _connected_letters(rank):
-            single = build_dynkin(letter, rank)
-            doubled = disjoint_union(single, single)
-            swap = FoldingInvolution(
-                tuple(list(range(rank, 2 * rank)) + list(range(rank)))
-            )
-            _add(("diag", single.cartan), doubled, swap)
+    connected = [
+        build_dynkin(letter, r)
+        for rank in range(1, max_rank + 1)
+        for letter, r in _identification_candidates(rank)
+    ]
+    for diagram in connected:
+        for sigma in _orthogonal_involutions(diagram):
+            _add(_canonical_key(diagram.cartan, sigma.mapping), diagram, sigma)
+    for single in connected:
+        n = single.rank
+        swap = FoldingInvolution(tuple(list(range(n, 2 * n)) + list(range(n))))
+        _add(("diag", single.cartan), disjoint_union(single, single), swap)
 
     return sorted(found.values(), key=_sort_key)
 
@@ -661,7 +584,7 @@ def decompose(
             tuple(pair.g_diagram.cartan[a][b] for b in g_idx) for a in g_idx
         )
         labels = []
-        for sub_comp in _components_of(cartan):
+        for sub_comp in components(cartan):
             hit = identify_component(cartan, sub_comp)
             if hit is None:
                 raise ValueError("factor diagram is not of finite type")

@@ -256,14 +256,6 @@ class VerifyReport:
         return all(passed for _, passed in self.checks)
 
 
-def _leq_matrix(graph: OrbitGraph) -> list[list[bool]]:
-    n = len(graph.vertices)
-    cols: list[frozenset[int]] = [
-        _reachable_along(graph, increasing_path(graph, v)) for v in graph.vertices
-    ]
-    return [[a in cols[b] for b in range(n)] for a in range(n)]
-
-
 def _group_polynomials(pair: MinimalRankPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(P_G, P_H) from the parabolic chain of each diagram."""
     return (
@@ -360,7 +352,10 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
         )
     )
 
-    leq = _leq_matrix(graph)
+    # column b of the order: the vertices below b along its canonical path
+    paths = [increasing_path(graph, v) for v in graph.vertices]
+    cols = [_reachable_along(graph, path) for path in paths]
+    leq = [[a in cols[b] for b in range(n)] for a in range(n)]
     checks.append(("order_reflexive", all(leq[a][a] for a in range(n))))
     checks.append(
         (
@@ -388,16 +383,10 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
     )
 
     # re-derive each column along every one-step path variation
-    path_ok = True
-    canonical_cols = {
-        v.coset_id: _reachable_along(graph, increasing_path(graph, v))
-        for v in graph.vertices
-    }
-    for lo, hi, j in graph.edges:
-        alt = increasing_path(graph, graph.vertices[lo]) + (j,)
-        if _reachable_along(graph, alt) != canonical_cols[hi]:
-            path_ok = False
-            break
+    path_ok = all(
+        _reachable_along(graph, paths[lo] + (j,)) == cols[hi]
+        for lo, hi, j in graph.edges
+    )
     checks.append(("order_path_independent", path_ok))
 
     return VerifyReport(

@@ -61,31 +61,34 @@ class DynkinDiagram:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted tuples of vertex indices."""
-        n = self.rank
-        seen: set[int] = set()
-        comps = []
-        for start in range(n):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = []
-            while stack:
-                i = stack.pop()
-                if i in seen:
-                    continue
-                seen.add(i)
-                comp.append(i)
-                stack.extend(
-                    j for j in range(n) if j not in seen and self.cartan[i][j] != 0
-                )
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return components(self.cartan)
 
     def vertex_index(self, vid: str) -> int:
         try:
             return self.vertices.index(vid)
         except ValueError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
+
+
+def components(cartan) -> tuple[tuple[int, ...], ...]:
+    """Connected components of a Cartan matrix as sorted index tuples,
+    ordered by smallest index."""
+    n = len(cartan)
+    seen: set[int] = set()
+    comps = []
+    for start in range(n):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            comp.append(i)
+            stack.extend(j for j in range(n) if j not in seen and cartan[i][j] != 0)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def build_dynkin(type_label: str, rank: int) -> DynkinDiagram:

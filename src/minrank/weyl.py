@@ -196,15 +196,9 @@ def is_palindromic(p: tuple[int, ...]) -> bool:
 class Subgroup:
     """Explicit subgroup of a Weyl group, closed under the given generators."""
 
-    def __init__(
-        self,
-        group: WeylGroup,
-        perms: tuple[Perm, ...],
-        generator_perms: tuple[Perm, ...],
-    ) -> None:
+    def __init__(self, group: WeylGroup, perms: tuple[Perm, ...]) -> None:
         self.group = group
         self.perms = perms
-        self.generator_perms = generator_perms
 
     @cached_property
     def keys(self) -> frozenset[bytes]:
@@ -249,17 +243,12 @@ def subgroup_closure(W: WeylGroup, gens: list[WeylElement]) -> Subgroup:
         if g not in W:
             raise ValueError("generator is not an element of the group")
     n = len(W.root_system.roots)
-    perms = perm_closure([g.perm for g in gens], n)
-    return Subgroup(W, tuple(perms), tuple(g.perm for g in gens))
+    return Subgroup(W, tuple(perm_closure([g.perm for g in gens], n)))
 
 
 def full_subgroup(W: WeylGroup) -> Subgroup:
     """The whole group viewed as a subgroup of itself (no closure run)."""
-    return Subgroup(
-        W,
-        tuple(w.perm for w in W.elements.values()),
-        tuple(g.perm for g in W.generators),
-    )
+    return Subgroup(W, tuple(w.perm for w in W.elements.values()))
 
 
 def coset_decomposition(

@@ -277,3 +277,41 @@ def test_graph_over_budget_names_the_group_and_its_order(capsys):
     letter, rank, order = named.group(1), int(named.group(2)), int(named.group(3))
     assert (letter, rank) in {("E", 6), ("F", 4)}
     assert order == oracles.weyl_order(letter, rank) > 1000
+
+
+AFFINE_CANDIDATES = [
+    {"type": "X", "rank": 2, "cartan": [[2, -2], [-2, 2]], "vertices": ["1", "2"]},
+    {
+        "type": "X",
+        "rank": 3,
+        "cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        "vertices": ["1", "2", "3"],
+    },
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "graph", "poincare"])
+@pytest.mark.parametrize("g", AFFINE_CANDIDATES)
+def test_candidate_not_of_finite_type_is_a_usage_error(capsys, command, g):
+    selector = json.dumps({"g": g, "sigma": []})
+    code, out, err = run_cli(capsys, command, "--pair", selector)
+    assert code == 2
+    assert out == ""
+    assert "not of finite type" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_flag_below_one_is_a_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "classify", "--max-rank", "2", "--budget", value)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_env_var_below_one_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MINRANK_BUDGET", value)
+    code, out, err = run_cli(capsys, "classify", "--max-rank", "2")
+    assert code == 2
+    assert out == ""
+    assert "MINRANK_BUDGET" in err

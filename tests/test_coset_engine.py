@@ -17,6 +17,7 @@ from minrank.weyl import (
     coxeter_matrix,
     is_coxeter_action,
     length_poincare,
+    perm_closure,
     perm_key,
     reflection_perms,
 )
@@ -178,3 +179,54 @@ def test_quotient_certificate_fails_on_each_broken_part():
     action[0][1], action[1][1] = 1, 0
     broken = replace(graph, action=tuple(tuple(row) for row in action))
     assert not _is_quotient_certificate(broken, 24, 8)
+
+
+def embedding_candidates():
+    """Every candidate of ambient rank <= 6 that reaches the embedding step
+    of validation: connected diagrams, unions of two connected diagrams and
+    the rank-2 table, each with every orthogonal involution, except the
+    identity and the straight component swap."""
+    from minrank.folding import _is_straight_swap, _orthogonal_involutions
+
+    connected = [mr.build_dynkin(letter, rank) for letter, rank in CONNECTED_RANK6]
+    diagrams = connected + [
+        mr.disjoint_union(d1, d2)
+        for i, d1 in enumerate(connected)
+        for d2 in connected[i:]
+        if d1.rank + d2.rank <= 6
+    ]
+    candidates = [(g, s) for g in diagrams for s in _orthogonal_involutions(g)]
+    candidates += [(row.g, row.sigma) for row in mr.rank2_table()]
+    for g, sigma in candidates:
+        if sigma.is_identity or _is_straight_swap(g, sigma):
+            continue
+        report = mr.validate_candidate(g, sigma)
+        if report.ok or report.failed_check == "embed":
+            yield g, sigma, report
+
+
+def test_embedding_order_from_the_table_matches_the_closure():
+    """|W(g)| / index of the folded words' coset table is the order of the
+    group their root permutations generate."""
+    from minrank.folding import _folded_presentation
+
+    reached = 0
+    for g, sigma, report in embedding_candidates():
+        words = _folded_presentation(mr.restriction_map(g, sigma))[1]
+        if report.ok:
+            assert words == report.pair.wh_generators
+        rs = mr.build_root_system(g)
+        refl = reflection_perms(rs)
+        gens = []
+        for word in words:
+            perm = tuple(range(len(rs.roots)))
+            for j in word:
+                perm = compose(perm, refl[j])
+            gens.append(perm)
+        order_g = sum(chain_poincare(rs))
+        index = len(coset_table(g.cartan, words))
+        assert order_g % index == 0
+        closure_order = len(perm_closure(gens, len(rs.roots)))
+        assert order_g // index == closure_order, (g.type_label, sigma.mapping)
+        reached += 1
+    assert reached >= 20

@@ -332,3 +332,60 @@ def test_evaluate_row_raises_on_an_accepted_report_without_a_pair(monkeypatch):
     sigma = mr.FoldingInvolution.from_pairs(a3, [("1", "3")])
     with pytest.raises(ValueError, match="no pair"):
         folding._evaluate_row(a3, sigma, "C2", ("1",))
+
+
+def test_restriction_map_rejects_a_nonorthogonal_two_fiber():
+    diagram, sigma = fold_of("C", 3, [("1", "3")])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        mr.restriction_map(diagram, sigma)
+    report = mr.validate_candidate(diagram, sigma)
+    assert (report.failed_check, report.tag) == ("b", "nonorthogonal_fiber")
+
+
+def test_folded_simple_system_rejects_an_image_that_is_not_a_root_system():
+    diagram, sigma = fold_of("A", 4, [("1", "3")])
+    rho = mr.restriction_map(diagram, sigma)
+    with pytest.raises(ValueError, match="root set"):
+        mr.folded_simple_system(rho)
+
+
+def forbid_root_permutations(monkeypatch):
+    """Make perm_closure, reflection_perms and _generator_perm fail the test
+    under every name a minrank module binds them to."""
+    import sys
+
+    from minrank import folding, weyl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root permutation was built")
+
+    originals = (weyl.perm_closure, weyl.reflection_perms, folding._generator_perm)
+    for name, module in list(sys.modules.items()):
+        if name == "minrank" or name.startswith("minrank."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+@pytest.mark.parametrize(
+    "letter,rank,pairs,h_label",
+    [
+        ("D", 7, [("6", "7")], "B6"),
+        ("E", 6, [("1", "6"), ("3", "5")], "F4"),
+        ("A", 7, [("1", "7"), ("2", "6"), ("3", "5")], "C4"),
+    ],
+)
+def test_validation_builds_no_root_permutation(
+    monkeypatch, letter, rank, pairs, h_label
+):
+    forbid_root_permutations(monkeypatch)
+    diagram, sigma = fold_of(letter, rank, pairs)
+    report = mr.validate_candidate(diagram, sigma)
+    assert report.ok
+    assert report.pair.h_colored.diagram.type_label == h_label
+
+
+def test_classify_builds_no_root_permutation(monkeypatch, classified6):
+    forbid_root_permutations(monkeypatch)
+    pairs = mr.classify(6)
+    assert mr.classification_to_json(pairs) == mr.classification_to_json(classified6)
