@@ -82,7 +82,9 @@ def _build_typed(letter: str, rank: int):
 def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
     """Turn a --pair selector into a validation report.
 
-    Family keys ("A3_C2") must resolve to exactly one nontrivial fold;
+    Family keys ("A3_C2") must resolve to exactly one nontrivial fold up
+    to relabeling; only involutions with as many orbits as the right
+    label's rank are validated, so the budget bounds only those.
     "identity:TYPE" and "diag:TYPE" build the trivial and component-swap
     candidates; a string starting with "{" is an explicit candidate JSON.
     Only the explicit forms can return a failing report.
@@ -118,9 +120,10 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
         g_letter, g_rank = _parse_type(g_part)
         h_letter, h_rank = _parse_type(h_part)
         diagram = _build_typed(g_letter, g_rank)
-        hits: dict[tuple, ValidationReport] = {}
+        hits: list[ValidationReport] = []
         for sigma in _orthogonal_involutions(diagram):
-            if sigma.is_identity:
+            # the folded diagram has one vertex per orbit of sigma
+            if sigma.is_identity or len(sigma.orbits) != h_rank:
                 continue
             report = validate_candidate(diagram, sigma, budget=budget)
             if (
@@ -128,12 +131,14 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
                 and report.pair is not None
                 and report.pair.h_colored.diagram.type_label == f"{h_letter}{h_rank}"
             ):
-                hits[_canonical_key(diagram.cartan, sigma.mapping)] = report
+                hits.append(report)
         if not hits:
             raise UsageError(f"no valid pair matches selector {selector!r}")
-        if len(hits) > 1:
+        if len(hits) > 1 and len(
+            {_canonical_key(diagram.cartan, r.pair.sigma.mapping) for r in hits}
+        ) > 1:
             raise UsageError(f"selector {selector!r} matches several pairs")
-        return next(iter(hits.values()))
+        return hits[-1]
     raise UsageError(f"unrecognized pair selector {selector!r}")
 
 

@@ -7,7 +7,6 @@ off root strings, so every query is integer-exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -351,6 +350,42 @@ def _identification_candidates(rank: int) -> list[tuple[str, int]]:
     return out
 
 
+def _isomorphisms(std, cartan, indices: tuple[int, ...]):
+    """Every isomorphism of the standard matrix ``std`` onto the block of
+    ``cartan`` on ``indices`` (of the same size), in lexicographic order.
+
+    Yields perm with perm[k] the position in ``indices`` of the vertex that
+    realizes standard vertex k.  A partial map is extended one standard
+    vertex at a time, trying positions in increasing order, and a branch is
+    dropped as soon as an entry among the assigned vertices differs from
+    ``std``, so the first isomorphism yielded is the lexicographically
+    smallest.
+    """
+    r = len(indices)
+    block = [[cartan[a][b] for b in indices] for a in indices]
+    perm: list[int] = []
+    used = [False] * r
+
+    def extend(k: int):
+        if k == r:
+            yield tuple(perm)
+            return
+        row = std[k]
+        for t in range(r):
+            if used[t] or block[t][t] != row[k] or any(
+                block[t][perm[i]] != row[i] or block[perm[i]][t] != std[i][k]
+                for i in range(k)
+            ):
+                continue
+            used[t] = True
+            perm.append(t)
+            yield from extend(k + 1)
+            perm.pop()
+            used[t] = False
+
+    yield from extend(0)
+
+
 def identify_component(cartan, indices: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]] | None:
     """Match one connected Cartan block against the standard finite types.
 
@@ -358,14 +393,9 @@ def identify_component(cartan, indices: tuple[int, ...]) -> tuple[str, int, tupl
     ``indices``) realizing standard vertex k, lexicographically smallest
     among the isomorphisms; None when no finite type matches.
     """
-    r = len(indices)
-    for letter, rank in _identification_candidates(r):
+    for letter, rank in _identification_candidates(len(indices)):
         std = build_dynkin(letter, rank).cartan
-        for p in itertools.permutations(range(r)):
-            if all(
-                cartan[indices[p[i]]][indices[p[j]]] == std[i][j]
-                for i in range(r)
-                for j in range(r)
-            ):
-                return letter, rank, p
+        perm = next(_isomorphisms(std, cartan, indices), None)
+        if perm is not None:
+            return letter, rank, perm
     return None

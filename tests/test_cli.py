@@ -4,6 +4,7 @@ import re
 import pytest
 
 import minrank as mr
+from minrank import cli
 from minrank.cli import main
 from minrank.root_system import diagram_to_json
 
@@ -315,3 +316,65 @@ def test_budget_env_var_below_one_is_a_usage_error(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert "MINRANK_BUDGET" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "graph", "poincare"])
+def test_selector_does_not_spend_the_budget_on_folds_of_another_rank(
+    capsys, command
+):
+    # D6 has no involution with a single orbit; its B5 fold (|W| = 3840)
+    # must not be validated on the way to saying so
+    code, out, err = run_cli(capsys, command, "--pair", "D6_A1", "--budget", "1000")
+    assert code == 2
+    assert out == ""
+    assert "no valid pair matches" in err
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, selector, validations, keys",
+    [
+        ("verify", "D7_B6", 15, 0),
+        ("poincare", "A7_C4", 41, 0),
+        ("verify", "D4_B3", 3, 3),
+    ],
+)
+def test_selector_validates_only_involutions_with_the_folded_rank(
+    capsys, monkeypatch, command, selector, validations, keys
+):
+    validated = _count_calls(monkeypatch, "validate_candidate")
+    keyed = _count_calls(monkeypatch, "_canonical_key")
+    code, _, _ = run_cli(capsys, command, "--pair", selector)
+    assert code == 0
+    assert len(validated) == validations
+    assert len(keyed) == keys
+
+
+def test_verify_d4_b3_resolves_its_three_conjugate_folds_to_the_last(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "D4_B3")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["pair"]["sigma"] == [["3", "4"]]
+    assert obj["pair"]["black"] == ["3"]
+    assert obj["pair"]["family"] == "Dn_Bn-1"
+    assert obj["orbits"] == 4
+    assert all(obj["checks"].values())
+
+
+def test_selector_matching_two_classes_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_canonical_key", lambda cartan, mapping: mapping)
+    code, out, err = run_cli(capsys, "verify", "--pair", "D4_B3")
+    assert code == 2
+    assert out == ""
+    assert "matches several pairs" in err

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 import minrank as mr
 from minrank.root_system import (
+    _identification_candidates,
     diagram_from_json,
     diagram_to_json,
     identify_component,
@@ -175,6 +178,66 @@ def test_identify_component_normalizes_vertex_order():
 def test_identify_component_rejects_affine_matrix():
     affine = ((2, -2), (-2, 2))
     assert identify_component(affine, (0, 1)) is None
+
+
+def identify_by_permutations(cartan, indices):
+    """Reference for identify_component: try every relabeling in lex order."""
+    r = len(indices)
+    for letter, rank in _identification_candidates(r):
+        std = mr.build_dynkin(letter, rank).cartan
+        for p in itertools.permutations(range(r)):
+            if all(
+                cartan[indices[p[i]]][indices[p[j]]] == std[i][j]
+                for i in range(r)
+                for j in range(r)
+            ):
+                return letter, rank, p
+    return None
+
+
+TYPES_UP_TO_7 = CONNECTED_TYPES + [
+    ("A", 7), ("B", 7), ("C", 7), ("D", 7), ("E", 7),
+]
+
+
+@given(st.sampled_from(TYPES_UP_TO_7), st.data())
+def test_identify_component_agrees_with_the_permutation_search(tp, data):
+    """A relabeled standard block, placed at scattered indices of a larger
+    matrix, gets the same (letter, rank, perm) as the exhaustive search."""
+    std = mr.build_dynkin(*tp).cartan
+    r = len(std)
+    n = r + data.draw(st.integers(0, 2))
+    slots = data.draw(st.permutations(range(n)))[:r]
+    cartan = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
+    for i in range(r):
+        for j in range(r):
+            cartan[slots[i]][slots[j]] = std[i][j]
+    indices = tuple(sorted(slots))
+    cartan = tuple(map(tuple, cartan))
+    hit = identify_component(cartan, indices)
+    assert hit == identify_by_permutations(cartan, indices)
+    assert hit[:2] == tp
+
+
+AFFINE_BLOCKS = {
+    "affine A1": ((2, -2), (-2, 2)),
+    "affine A2": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+    "affine D4": (
+        (2, 0, 0, 0, -1),
+        (0, 2, 0, 0, -1),
+        (0, 0, 2, 0, -1),
+        (0, 0, 0, 2, -1),
+        (-1, -1, -1, -1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_BLOCKS))
+def test_identify_component_finds_no_finite_type_for_affine_blocks(name):
+    cartan = AFFINE_BLOCKS[name]
+    indices = tuple(range(len(cartan)))
+    assert identify_component(cartan, indices) is None
+    assert identify_by_permutations(cartan, indices) is None
 
 
 @given(types_st, st.data())
