@@ -209,8 +209,10 @@ def run_verify(cfg: RunConfig) -> int:
             f"{result.pair.h_colored.diagram.type_label}: "
             f"{result.orbit_count} orbits, Q={list(result.q)}"
         ]
+        witnesses = {name: ", ".join(map(str, w)) for name, w in result.witnesses}
         lines += [
             f"  {name}: {'pass' if passed else 'FAIL'}"
+            + (f" (witness {witnesses[name]})" if name in witnesses else "")
             for name, passed in result.checks
         ]
         _emit("\n".join(lines) + "\n", cfg.output_path)

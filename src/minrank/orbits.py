@@ -195,27 +195,28 @@ def random_increasing_path(
     return tuple(reversed(labels))
 
 
-def _walk_path(graph: OrbitGraph, path: tuple[int, ...]) -> OrbitVertex:
-    cur = closed_orbit(graph)
-    for j in path:
-        nxt = graph.vertices[graph.action[cur.coset_id][j]]
-        if nxt.coset_id == cur.coset_id or nxt.dim != cur.dim + 1:
-            raise ValueError("label sequence is not an increasing path")
-        cur = nxt
-    return cur
+def _members(col: int):
+    """The coset ids in a column, in increasing order."""
+    while col:
+        low = col & -col
+        yield low.bit_length() - 1
+        col ^= low
 
 
-def _reachable_along(graph: OrbitGraph, path: tuple[int, ...]) -> frozenset[int]:
-    """Coset ids reachable by raising subsequences of the label sequence."""
-    current = {closed_orbit(graph).coset_id}
-    for j in path:
-        raised = set()
-        for cid in current:
-            t = graph.action[cid][j]
-            if t != cid and graph.vertices[t].dim == graph.vertices[cid].dim + 1:
-                raised.add(t)
-        current |= raised
-    return frozenset(current)
+def _raise_column(
+    col: int, j: int, action: tuple[tuple[int, ...], ...], dims: list[int]
+) -> int:
+    """``col`` plus every s_j-image one grade above a member of ``col``.
+
+    A column is a bitset of coset ids; raising the column of a label
+    sequence by j gives the column of the sequence extended by j.
+    """
+    raised = col
+    for c in _members(col):
+        t = action[c][j]
+        if dims[t] == dims[c] + 1:
+            raised |= 1 << t
+    return raised
 
 
 def bruhat_leq(
@@ -230,11 +231,93 @@ def bruhat_leq(
     ``path`` overrides the canonical reference path; it must be an
     increasing path from the closed orbit to V.
     """
+    bottom = closed_orbit(graph)
     if path is None:
         path = increasing_path(graph, V)
-    elif _walk_path(graph, path).coset_id != V.coset_id:
-        raise ValueError("path does not end at the target vertex")
-    return Vp.coset_id in _reachable_along(graph, path)
+    else:
+        cur = bottom
+        for j in path:
+            nxt = graph.vertices[graph.action[cur.coset_id][j]]
+            if nxt.dim != cur.dim + 1:
+                raise ValueError("label sequence is not an increasing path")
+            cur = nxt
+        if cur.coset_id != V.coset_id:
+            raise ValueError("path does not end at the target vertex")
+    dims = [v.dim for v in graph.vertices]
+    col = 1 << bottom.coset_id
+    for j in path:
+        col = _raise_column(col, j, graph.action, dims)
+    return bool(col >> Vp.coset_id & 1)
+
+
+def _order_columns(graph: OrbitGraph) -> list[int] | None:
+    """Column b of the containment order: bit a is set when a <= b.
+
+    Column b holds the vertices reached by raising subsequences of b's
+    canonical increasing path.  That path is its parent's path plus the
+    first letter j of b's representative word, so each column is its
+    parent's column raised by j, built in order of dimension.  ``None``
+    when the graph has no unique closed orbit or a representative word
+    does not descend to it.
+    """
+    try:
+        bottom = closed_orbit(graph).coset_id
+    except ValueError:
+        return None
+    dims = [v.dim for v in graph.vertices]
+    cols = [0] * len(graph.vertices)
+    for v in sorted(graph.vertices, key=lambda v: v.dim):
+        word = v.min_rep.word
+        if not word:
+            if v.dim != graph.d_h:
+                return None
+            cols[v.coset_id] = 1 << bottom
+            continue
+        down = graph.action[v.coset_id][word[0]]
+        if dims[down] != v.dim - 1:
+            return None
+        cols[v.coset_id] = _raise_column(cols[down], word[0], graph.action, dims)
+    return cols
+
+
+_ORDER_CHECKS = (
+    "order_reflexive",
+    "order_antisymmetric",
+    "order_transitive",
+    "order_path_independent",
+)
+
+
+def _order_witnesses(
+    cols: list[int],
+    edges: tuple[tuple[int, int, int], ...],
+    action: tuple[tuple[int, ...], ...],
+    dims: list[int],
+) -> dict[str, tuple[int, ...]]:
+    """The first counterexample to each order check that fails.
+
+    Keys are ``_ORDER_CHECKS`` names; the witness is the vertex b with b
+    not <= b, the pair (a, b) with a <= b <= a, the triple (x, a, b) with
+    x <= a <= b but not x <= b, or the edge (lo, hi, j) along which
+    raising lo's column by j does not give hi's column.  Costs one pass
+    over the members of every column.
+    """
+    found: dict[str, tuple[int, ...]] = {}
+    for b, col in enumerate(cols):
+        if not col >> b & 1:
+            found.setdefault("order_reflexive", (b,))
+        for a in _members(col):
+            if a != b and cols[a] >> b & 1:
+                found.setdefault("order_antisymmetric", (a, b))
+            outside = cols[a] & ~col
+            if outside:
+                x = (outside & -outside).bit_length() - 1
+                found.setdefault("order_transitive", (x, a, b))
+    for lo, hi, j in edges:
+        if _raise_column(cols[lo], j, action, dims) != cols[hi]:
+            found["order_path_independent"] = (lo, hi, j)
+            break
+    return found
 
 
 # --- the verification report ----------------------------------------------------
@@ -250,6 +333,9 @@ class VerifyReport:
     p_h: tuple[int, ...]
     q: tuple[int, ...]
     checks: tuple[tuple[str, bool], ...]
+    # (check name, counterexample) for each failing order check that has
+    # one; an edge's label is its vertex name, as in the graph export
+    witnesses: tuple[tuple[str, tuple], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -352,42 +438,18 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
         )
     )
 
-    # column b of the order: the vertices below b along its canonical path
-    paths = [increasing_path(graph, v) for v in graph.vertices]
-    cols = [_reachable_along(graph, path) for path in paths]
-    leq = [[a in cols[b] for b in range(n)] for a in range(n)]
-    checks.append(("order_reflexive", all(leq[a][a] for a in range(n))))
-    checks.append(
-        (
-            "order_antisymmetric",
-            all(
-                not (leq[a][b] and leq[b][a])
-                for a in range(n)
-                for b in range(n)
-                if a != b
-            ),
+    # the containment order on bitset columns; see _order_witnesses
+    cols = _order_columns(graph)
+    found: dict[str, tuple] = {}
+    if cols is not None:
+        found = _order_witnesses(
+            cols, graph.edges, graph.action, [v.dim for v in graph.vertices]
         )
-    )
-    checks.append(
-        (
-            "order_transitive",
-            all(
-                leq[a][c]
-                for b in range(n)
-                for a in range(n)
-                if leq[a][b]
-                for c in range(n)
-                if leq[b][c]
-            ),
-        )
-    )
-
-    # re-derive each column along every one-step path variation
-    path_ok = all(
-        _reachable_along(graph, paths[lo] + (j,)) == cols[hi]
-        for lo, hi, j in graph.edges
-    )
-    checks.append(("order_path_independent", path_ok))
+        if "order_path_independent" in found:
+            lo, hi, j = found["order_path_independent"]
+            found["order_path_independent"] = (lo, hi, pair.g_diagram.vertices[j])
+    for name in _ORDER_CHECKS:
+        checks.append((name, cols is not None and name not in found))
 
     return VerifyReport(
         pair=pair,
@@ -398,6 +460,9 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
         p_h=p_h,
         q=q,
         checks=tuple(checks),
+        witnesses=tuple(
+            (name, found[name]) for name in _ORDER_CHECKS if name in found
+        ),
     )
 
 
@@ -412,7 +477,7 @@ def poincare_triple(
 
 
 def report_to_json(report: VerifyReport) -> dict:
-    return {
+    obj = {
         "pair": pair_to_json(report.pair),
         "orbits": report.orbit_count,
         "dG": report.d_g,
@@ -423,6 +488,9 @@ def report_to_json(report: VerifyReport) -> dict:
         "checks": {name: passed for name, passed in report.checks},
         "ok": report.ok,
     }
+    if report.witnesses:
+        obj["witnesses"] = {name: list(w) for name, w in report.witnesses}
+    return obj
 
 
 # --- export ----------------------------------------------------------------------

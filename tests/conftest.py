@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 import minrank as mr
+from minrank import orbits
 
 settings.register_profile(
     "exact",
@@ -38,3 +41,23 @@ def group_of():
         return mr.generate_weyl(mr.build_root_system(mr.build_dynkin(letter, rank)))
 
     return get
+
+
+@pytest.fixture
+def patch_graph(monkeypatch):
+    """Make ``build_graph`` hand out a copy of the real graph with some
+    fields replaced; each keyword maps a field to a function of the real
+    graph giving its new value."""
+
+    def patch(**changes):
+        real = orbits.build_graph
+
+        def fake(pair, budget=orbits.DEFAULT_BUDGET):
+            graph = real(pair, budget=budget)
+            return dataclasses.replace(
+                graph, **{field: f(graph) for field, f in changes.items()}
+            )
+
+        monkeypatch.setattr(orbits, "build_graph", fake)
+
+    return patch

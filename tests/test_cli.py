@@ -378,3 +378,31 @@ def test_selector_matching_two_classes_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "matches several pairs" in err
+
+
+def test_verify_reports_a_graph_without_a_unique_bottom(capsys, patch_graph):
+    # without the edges into vertex 1 both 0 and 1 are minimal
+    patch_graph(edges=lambda graph: tuple(e for e in graph.edges if e[1] != 1))
+    code, out, _ = run_cli(capsys, "verify", "--pair", "A3_C2")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["ok"] is False
+    assert obj["checks"]["unique_minimum"] is False
+    assert obj["checks"]["order_reflexive"] is False
+    assert "witnesses" not in obj
+    code, out, _ = run_cli(capsys, "verify", "--pair", "A3_C2", "--format", "text")
+    assert code == 1
+    assert "  order_transitive: FAIL\n" in out
+
+
+def test_verify_text_names_the_witness_of_a_failing_order_check(capsys, patch_graph):
+    def corrupt(graph):
+        action = [list(row) for row in graph.action]
+        action[0][2] = 0
+        return tuple(tuple(row) for row in action)
+
+    patch_graph(action=corrupt)
+    code, out, _ = run_cli(capsys, "verify", "--pair", "A3_C2", "--format", "text")
+    assert code == 1
+    assert "  order_path_independent: FAIL (witness 0, 1, 3)\n" in out
+    assert "  order_transitive: pass\n" in out

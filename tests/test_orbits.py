@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minrank as mr
-from minrank.orbits import increasing_path, random_increasing_path
+from minrank.orbits import (
+    _order_columns,
+    _order_witnesses,
+    increasing_path,
+    random_increasing_path,
+)
 
 import oracles
 
@@ -266,3 +272,122 @@ def test_edges_step_dimension_by_one(key, data):
         return
     lo, hi, _ = data.draw(st.sampled_from(graph.edges))
     assert graph.vertices[hi].dim == graph.vertices[lo].dim + 1
+
+
+# --- the order columns --------------------------------------------------------
+
+
+def reachable_along(graph, path):
+    """Reference column: raise the closed orbit along every label of the
+    path, walking the whole path from scratch."""
+    current = {mr.closed_orbit(graph).coset_id}
+    for j in path:
+        raised = set()
+        for cid in current:
+            t = graph.action[cid][j]
+            if t != cid and graph.vertices[t].dim == graph.vertices[cid].dim + 1:
+                raised.add(t)
+        current |= raised
+    return frozenset(current)
+
+
+A7_PAIRS = (("1", "7"), ("2", "6"), ("3", "5"))
+
+
+def test_order_columns_agree_with_the_from_scratch_walk(classified6):
+    pairs = [p for p in classified6 if p.g_diagram.rank <= 6]
+    assert len(pairs) == 35
+    pairs += [pair_for("A7", A7_PAIRS), diagonal_pair("A", 4)]
+    for pair in pairs:
+        graph = mr.build_graph(pair)
+        cols = _order_columns(graph)
+        assert len(cols) == len(graph.vertices)
+        for v in graph.vertices:
+            col = cols[v.coset_id]
+            members = {a for a in range(col.bit_length()) if col >> a & 1}
+            expected = reachable_along(graph, increasing_path(graph, v))
+            assert members == expected, (pair.g_diagram.type_label, v.coset_id)
+
+
+# a three-vertex chain 0 < 1 < 2 with covers 0 -s0-> 1 -s1-> 2
+CHAIN_ACTION = ((1, 0), (0, 2), (2, 1))
+CHAIN_DIMS = [0, 1, 2]
+CHAIN_EDGES = ((0, 1, 0), (1, 2, 1))
+CHAIN_COLS = [0b001, 0b011, 0b111]
+
+
+def test_order_witnesses_pass_on_a_chain():
+    assert _order_witnesses(CHAIN_COLS, CHAIN_EDGES, CHAIN_ACTION, CHAIN_DIMS) == {}
+
+
+@pytest.mark.parametrize(
+    "cols,name,witness",
+    [
+        ([0b001, 0b011, 0b011], "order_reflexive", (2,)),
+        ([0b011, 0b011, 0b111], "order_antisymmetric", (1, 0)),
+        ([0b001, 0b011, 0b110], "order_transitive", (0, 1, 2)),
+    ],
+)
+def test_order_witnesses_name_a_planted_fault(cols, name, witness):
+    found = _order_witnesses(cols, CHAIN_EDGES, CHAIN_ACTION, CHAIN_DIMS)
+    assert found[name] == witness
+
+
+def test_order_witnesses_name_the_edge_whose_raise_differs():
+    action = ((1, 0), (0, 1), (2, 1))  # s1 no longer raises vertex 1
+    found = _order_witnesses(CHAIN_COLS, CHAIN_EDGES, action, CHAIN_DIMS)
+    assert found == {"order_path_independent": (1, 2, 1)}
+
+
+def order_results(report):
+    return {name: passed for name, passed in report.checks if name.startswith("order_")}
+
+
+def test_verify_pair_reports_a_corrupted_action_entry_with_its_edge(patch_graph):
+    # s_3 no longer raises the closed orbit of A3 -> C2, so raising its
+    # column by label 3 misses vertex 1, above it along the edge (0, 1, 3)
+    def corrupt(graph):
+        action = [list(row) for row in graph.action]
+        action[0][2] = 0
+        return tuple(tuple(row) for row in action)
+
+    patch_graph(action=corrupt)
+    report = mr.verify_pair(pair_for("A3", A3_PAIRS))
+    assert order_results(report) == {
+        "order_reflexive": True,
+        "order_antisymmetric": True,
+        "order_transitive": True,
+        "order_path_independent": False,
+    }
+    assert report.witnesses == (("order_path_independent", (0, 1, "3")),)
+    obj = mr.report_to_json(report)
+    assert obj["witnesses"] == {"order_path_independent": [0, 1, "3"]}
+
+
+def test_verify_pair_reports_a_missing_bottom_instead_of_raising(patch_graph):
+    # without the edges into vertex 1 both 0 and 1 are minimal
+    patch_graph(edges=lambda graph: tuple(e for e in graph.edges if e[1] != 1))
+    report = mr.verify_pair(pair_for("A3", A3_PAIRS))
+    assert not report.ok
+    assert dict(report.checks)["unique_minimum"] is False
+    assert set(order_results(report).values()) == {False}
+    assert report.witnesses == ()
+
+
+def test_verify_pair_reports_a_word_that_does_not_descend(patch_graph):
+    # vertex 2's word now starts with s1, which fixes it
+    def misword(graph):
+        top = graph.vertices[2]
+        rep = dataclasses.replace(top.min_rep, word=(0, 1))
+        return graph.vertices[:2] + (dataclasses.replace(top, min_rep=rep),)
+
+    patch_graph(vertices=misword)
+    report = mr.verify_pair(pair_for("A3", A3_PAIRS))
+    assert set(order_results(report).values()) == {False}
+    assert dict(report.checks)["unique_minimum"] is True
+    assert report.witnesses == ()
+
+
+def test_passing_report_json_has_no_witnesses():
+    obj = mr.report_to_json(mr.verify_pair(pair_for("A3", A3_PAIRS)))
+    assert "witnesses" not in obj
