@@ -57,8 +57,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -162,8 +165,6 @@ def _sigma_text(pair) -> str:
 def run_classify(cfg: RunConfig) -> int:
     if cfg.max_rank is None:
         raise UsageError("--max-rank is required")
-    if cfg.output_format == "dot":
-        raise UsageError("dot output is only available for the graph command")
     try:
         pairs = classify(cfg.max_rank, budget=cfg.budget)
     except ValueError as exc:
@@ -182,8 +183,6 @@ def run_classify(cfg: RunConfig) -> int:
 
 
 def run_verify(cfg: RunConfig) -> int:
-    if cfg.output_format == "dot":
-        raise UsageError("dot output is only available for the graph command")
     report = _resolve_pair(cfg.pair_selector, cfg.budget)
     if not report.ok or report.pair is None:
         obj = {
@@ -243,8 +242,6 @@ def run_graph(cfg: RunConfig) -> int:
 
 
 def run_poincare(cfg: RunConfig) -> int:
-    if cfg.output_format == "dot":
-        raise UsageError("dot output is only available for the graph command")
     report = _resolve_pair(cfg.pair_selector, cfg.budget)
     pair = _require_valid(report, cfg.pair_selector)
     p_g, p_h, q, identity_ok = poincare_triple(pair, budget=cfg.budget)
@@ -344,6 +341,8 @@ def main(argv: list[str] | None = None) -> int:
             output_path=ns.out,
             budget=budget,
         )
+        if cfg.output_format == "dot" and cfg.command != "graph":
+            raise UsageError("dot output is only available for the graph command")
         runner = {
             "classify": run_classify,
             "verify": run_verify,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .root_system import (
     DEFAULT_RANK_CAP,
@@ -20,7 +19,6 @@ from .root_system import (
     Root,
     RootSystem,
     build_dynkin,
-    build_root_system,
     components,
     diagram_to_json,
     diagram_from_json,
@@ -36,20 +34,15 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     Subgroup,
-    chain_poincare,
     compose,
     coset_table,
+    diagram_data,
     full_subgroup,
     order_within_budget,
     perm_closure,
     perm_key,
     reflection_perms,
 )
-
-
-@lru_cache(maxsize=None)
-def _cached_root_system(diagram: DynkinDiagram) -> RootSystem:
-    return build_root_system(diagram)
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,7 @@ def restriction_map(
     """
     if len(sigma.mapping) != g_diagram.rank:
         raise ValueError("involution size does not match diagram rank")
-    rs = _cached_root_system(g_diagram)
+    rs = diagram_data(g_diagram).root_system
     for i, j in sigma.two_cycles:
         if g_diagram.cartan[i][j] != 0:
             raise _CheckFailed(
@@ -330,7 +323,7 @@ def _folded_presentation(
     vertex_of_orbit = {k: v for v, k in enumerate(orbit_of_vertex)}
     closure = {
         tuple(r[vertex_of_orbit[k]] for k in range(m))
-        for r in _cached_root_system(h_diagram).roots
+        for r in diagram_data(h_diagram).root_system.roots
     }
     if closure != image_set:
         raise _CheckFailed(
@@ -376,7 +369,7 @@ def validate_candidate(
         h_colored, wh_generators = _folded_presentation(rho)
     except _CheckFailed as exc:
         return _fail(exc.check, exc.tag)
-    rs = _cached_root_system(g_diagram)
+    rs = diagram_data(g_diagram).root_system
     cartan = g_diagram.cartan
 
     # (d) every ambient root is counted once per fiber element
@@ -410,9 +403,9 @@ def validate_candidate(
     # read off their coset table.  The identity and the straight component
     # swap are exempt (see _is_straight_swap).
     if not sigma.is_identity and not _is_straight_swap(g_diagram, sigma):
-        expected = order_within_budget(_cached_root_system(h_colored.diagram), budget)
+        expected = order_within_budget(h_colored.diagram, budget)
         index = len(coset_table(cartan, wh_generators, budget=budget))
-        if index * expected != sum(chain_poincare(rs)):
+        if index * expected != sum(diagram_data(g_diagram).poincare):
             return _fail("embed", "embedding_order")
 
     pair = MinimalRankPair(
@@ -452,7 +445,7 @@ def embed_weyl(
     generators = tuple(W.elements[perm_key(p)] for p in gen_perms)
     if pair.sigma.is_identity:
         return full_subgroup(W), generators
-    expected = order_within_budget(_cached_root_system(pair.h_colored.diagram), budget)
+    expected = order_within_budget(pair.h_colored.diagram, budget)
     perms = perm_closure(gen_perms, len(rs.roots), budget=budget)
     if len(perms) != expected:
         raise ValueError(

@@ -16,26 +16,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .folding import MinimalRankPair, _cached_root_system, pair_to_json
+from .folding import MinimalRankPair, pair_to_json
 from .weyl import (
     DEFAULT_BUDGET,
-    WeylElement,
-    chain_poincare,
-    compose,
     coset_table,
     coset_words,
+    diagram_data,
     is_coxeter_action,
     is_palindromic,
     order_within_budget,
     poly_mul,
-    reflection_perms,
 )
+
+
+@dataclass(frozen=True)
+class MinRep:
+    """Minimal representative of a coset, by its lex-first reduced word."""
+
+    word: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class OrbitVertex:
     coset_id: int
-    min_rep: WeylElement
+    min_rep: MinRep
     dim: int
 
 
@@ -55,9 +59,6 @@ class OrbitGraph:
     action: tuple[tuple[int, ...], ...]
 
 
-_MODEL_CACHE: dict[tuple, OrbitGraph] = {}
-
-
 def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGraph:
     """Enumerate the cosets of the embedded folded group and grade them.
 
@@ -68,14 +69,13 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
     |W(h)| from the parabolic chain is over ``budget``; the table's rows
     count against it too.  Raises ValueError if any moved coset changes
     minimal length by anything other than 1: that would contradict the
-    simple-edge grading and the pair must be rejected.
+    simple-edge grading and the pair must be rejected.  A graph cached in
+    the ambient diagram's ``diagram_data`` is returned as the same object.
     """
-    rs = _cached_root_system(pair.g_diagram)
-    rs_h = _cached_root_system(pair.h_colored.diagram)
-    order_within_budget(rs, budget)
-    order_within_budget(rs_h, budget)
-    key = (pair.g_diagram.cartan, pair.sigma.mapping)
-    cached = _MODEL_CACHE.get(key)
+    order_within_budget(pair.g_diagram, budget)
+    order_within_budget(pair.h_colored.diagram, budget)
+    data = diagram_data(pair.g_diagram)
+    cached = data.graphs.get(pair.sigma.mapping)
     if cached is not None:
         return cached
     table = coset_table(pair.g_diagram.cartan, pair.wh_generators, budget=budget)
@@ -84,20 +84,10 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
     new_id = [0] * len(table)
     for cid, c in enumerate(order):
         new_id[c] = cid
-    refl = reflection_perms(rs)
-    perms = [tuple(range(len(rs.roots)))] * len(table)
-    for c in order[1:]:
-        # words[c] = (j,) + words[s_j * c], and s_j * c comes earlier
-        j = words[c][0]
-        perms[c] = compose(refl[j], perms[table[c][j]])
-    d_g = len(rs.positive_roots)
-    d_h = len(rs_h.positive_roots)
+    d_g = len(data.root_system.positive_roots)
+    d_h = len(diagram_data(pair.h_colored.diagram).root_system.positive_roots)
     vertices = tuple(
-        OrbitVertex(
-            coset_id=cid,
-            min_rep=WeylElement(perms[c], words[c]),
-            dim=d_h + len(words[c]),
-        )
+        OrbitVertex(coset_id=cid, min_rep=MinRep(words[c]), dim=d_h + len(words[c]))
         for cid, c in enumerate(order)
     )
     action_rows = []
@@ -123,7 +113,7 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
         d_h=d_h,
         action=tuple(action_rows),
     )
-    _MODEL_CACHE[key] = graph
+    data.graphs[pair.sigma.mapping] = graph
     return graph
 
 
@@ -342,12 +332,15 @@ class VerifyReport:
         return all(passed for _, passed in self.checks)
 
 
-def _group_polynomials(pair: MinimalRankPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(P_G, P_H) from the parabolic chain of each diagram."""
-    return (
-        chain_poincare(_cached_root_system(pair.g_diagram)),
-        chain_poincare(_cached_root_system(pair.h_colored.diagram)),
-    )
+def _poincare_step(
+    graph: OrbitGraph,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
+    """(P_G, P_H, Q, Q*P_H == P_G): P_G and P_H from the parabolic chain
+    of each diagram, Q from the grading of the orbit graph."""
+    p_g = diagram_data(graph.pair.g_diagram).poincare
+    p_h = diagram_data(graph.pair.h_colored.diagram).poincare
+    q = _dim_histogram(graph)
+    return p_g, p_h, q, poly_mul(q, p_h) == p_g
 
 
 def _is_quotient_certificate(graph: OrbitGraph, order_g: int, order_h: int) -> bool:
@@ -387,11 +380,10 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
     graph = build_graph(pair, budget=budget)
     n = len(graph.vertices)
 
-    p_g, p_h = _group_polynomials(pair)
-    q = _dim_histogram(graph)
+    p_g, p_h, q, factorization_ok = _poincare_step(graph)
 
     checks: list[tuple[str, bool]] = []
-    checks.append(("q_times_ph_equals_pg", poly_mul(q, p_h) == p_g))
+    checks.append(("q_times_ph_equals_pg", factorization_ok))
     checks.append(("q_palindromic", is_palindromic(q)))
 
     # transitivity of the action, from the bottom coset
@@ -470,10 +462,7 @@ def poincare_triple(
     pair: MinimalRankPair, budget: int = DEFAULT_BUDGET
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
     """(P_G, P_H, Q, Q*P_H == P_G) for a validated pair."""
-    graph = build_graph(pair, budget=budget)
-    p_g, p_h = _group_polynomials(pair)
-    q = _dim_histogram(graph)
-    return p_g, p_h, q, poly_mul(q, p_h) == p_g
+    return _poincare_step(build_graph(pair, budget=budget))
 
 
 def report_to_json(report: VerifyReport) -> dict:

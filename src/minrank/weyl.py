@@ -10,10 +10,16 @@ group, so its cost grows with the number of cosets, not with |W|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .root_system import RootSystem, _reflect_coords, DEFAULT_RANK_CAP
+from .root_system import (
+    DEFAULT_RANK_CAP,
+    DynkinDiagram,
+    RootSystem,
+    _reflect_coords,
+    build_root_system,
+)
 
 DEFAULT_BUDGET = 3_000_000
 
@@ -96,7 +102,29 @@ def reflection_perms(rs: RootSystem) -> tuple[Perm, ...]:
     return tuple(perms)
 
 
-_GROUP_CACHE: dict = {}
+@dataclass(eq=False)
+class DiagramData:
+    """What is kept about one Dynkin diagram, each field built on first
+    use: its root system, P_W from the parabolic chain, the group listed by
+    ``generate_weyl`` and the orbit graphs of its folds by ``sigma.mapping``.
+    """
+
+    diagram: DynkinDiagram
+    group: WeylGroup | None = None
+    graphs: dict = field(default_factory=dict)
+
+    @cached_property
+    def root_system(self) -> RootSystem:
+        return build_root_system(self.diagram)
+
+    @cached_property
+    def poincare(self) -> tuple[int, ...]:
+        return chain_poincare(self.root_system)
+
+
+# The package's one module-level cache, keyed on the whole diagram, vertex
+# names included.  diagram_data.cache_clear() drops every cached value.
+diagram_data = lru_cache(maxsize=None)(DiagramData)
 
 
 def generate_weyl(
@@ -108,14 +136,15 @@ def generate_weyl(
 
     Elements are discovered in (length, lex word) order; the stored word is
     the lex-min reduced word.  Raises BudgetExceededError with the partial
-    count when the group grows past ``budget``.  Generated groups are cached
-    per diagram; a cached group still honors a smaller budget by raising.
+    count when the group grows past ``budget``.  The group is cached in
+    ``diagram_data``; a cached group still honors a smaller budget by raising.
     """
     if rs.diagram.rank > rank_cap:
         raise ValueError(
             f"rank {rs.diagram.rank} exceeds the configured cap {rank_cap}"
         )
-    cached = _GROUP_CACHE.get(rs.diagram)
+    data = diagram_data(rs.diagram)
+    cached = data.group
     if cached is not None:
         if cached.order > budget:
             raise BudgetExceededError(
@@ -149,9 +178,8 @@ def generate_weyl(
                     new.append(el)
         frontier = new
     gen_elements = tuple(elements[perm_key(g)] for g in gens)
-    group = WeylGroup(rs, elements, gen_elements)
-    _GROUP_CACHE[rs.diagram] = group
-    return group
+    data.group = WeylGroup(rs, elements, gen_elements)
+    return data.group
 
 
 def length(w: WeylElement) -> int:
@@ -200,16 +228,9 @@ class Subgroup:
         self.group = group
         self.perms = perms
 
-    @cached_property
-    def keys(self) -> frozenset[bytes]:
-        return frozenset(perm_key(p) for p in self.perms)
-
     @property
     def order(self) -> int:
         return len(self.perms)
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w.key in self.keys
 
 
 def perm_closure(
@@ -482,13 +503,9 @@ def chain_poincare(rs: RootSystem) -> tuple[int, ...]:
     positive roots, which keeps deg P^J = N(W_S) - N(W_J), and in finite
     type the quotient, small.
     """
-    return _chain_poincare(rs.diagram.cartan, rs.positive_roots)
-
-
-@lru_cache(maxsize=None)
-def _chain_poincare(cartan, positive_roots) -> tuple[int, ...]:
+    cartan = rs.diagram.cartan
     remaining = list(range(len(cartan)))
-    live = list(positive_roots)
+    live = list(rs.positive_roots)
     poly: tuple[int, ...] = (1,)
     while remaining:
         s = min(remaining, key=lambda v: sum(1 for r in live if r[v]))
@@ -500,13 +517,13 @@ def _chain_poincare(cartan, positive_roots) -> tuple[int, ...]:
     return poly
 
 
-def order_within_budget(rs: RootSystem, budget: int) -> int:
+def order_within_budget(diagram: DynkinDiagram, budget: int) -> int:
     """|W| = P_W(1) from the parabolic chain; BudgetExceededError if it is
     over ``budget``, raised before anything of that size is built."""
-    order = sum(chain_poincare(rs))
+    order = sum(diagram_data(diagram).poincare)
     if order > budget:
         raise BudgetExceededError(
-            f"Weyl group of {rs.diagram.type_label} has order {order}, "
+            f"Weyl group of {diagram.type_label} has order {order}, "
             f"over the element budget {budget}",
             0,
         )

@@ -69,6 +69,17 @@ def test_out_writes_the_file_instead_of_stdout(capsys, tmp_path):
     assert len(records) == 2
 
 
+def test_out_to_a_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "poincare", "--pair", "A3_C2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"minrank: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_verify_unknown_selector(capsys):
     code, _, err = run_cli(capsys, "verify", "--pair", "bogus")
     assert code == 2
@@ -153,6 +164,20 @@ def test_graph_dot_output(capsys):
     assert out.startswith("digraph orbits {")
     assert '"c0/d4" -> "c1/d5" [label="1"];' in out
     assert out.endswith("}\n")
+
+
+def test_graph_export_of_a_relabeled_pair_uses_its_own_vertex_names(capsys):
+    """A3_C2 and the same fold on vertices a, b, c share a Cartan matrix and
+    an involution; the second export must not reuse the first one's graph."""
+    g = {**diagram_to_json(mr.build_dynkin("A", 3)), "vertices": ["a", "b", "c"]}
+    relabeled = json.dumps({"g": g, "sigma": [["a", "c"]]})
+    run_cli(capsys, "graph", "--pair", "A3_C2", "--format", "dot")
+    code, out, _ = run_cli(capsys, "graph", "--pair", relabeled, "--format", "dot")
+    assert code == 0
+    assert re.findall(r'label="(\w+)"', out) == ["a", "c", "b"]
+    code, out, _ = run_cli(capsys, "graph", "--pair", relabeled)
+    assert code == 0
+    assert [label for _, _, label in json.loads(out)["edges"]] == ["a", "c", "b"]
 
 
 def test_graph_text_output(capsys):

@@ -3,10 +3,12 @@ graphs: Todd-Coxeter tables and parabolic chains on one side, the listed
 Weyl group, its embedded subgroup and the (length, lex) coset scan on the
 other."""
 
+import functools
+
 import pytest
 
 import minrank as mr
-from minrank.orbits import _MODEL_CACHE
+from minrank import folding, orbits, weyl
 from minrank.weyl import (
     BudgetExceededError,
     chain_poincare,
@@ -15,6 +17,7 @@ from minrank.weyl import (
     coset_table,
     coset_words,
     coxeter_matrix,
+    diagram_data,
     is_coxeter_action,
     length_poincare,
     perm_closure,
@@ -67,10 +70,14 @@ def test_build_graph_agrees_with_group_enumeration_on_all_35_pairs(classified6):
         key = (pair.g_diagram.type_label, pair.family, pair.sigma.two_cycles)
         graph = mr.build_graph(pair)
         vertices, edges, action = reference_graph(pair)
-        got = [
-            (v.coset_id, v.dim, v.min_rep.word, v.min_rep.perm)
-            for v in graph.vertices
-        ]
+        rs = mr.build_root_system(pair.g_diagram)
+        refl = reflection_perms(rs)
+        got = []
+        for v in graph.vertices:
+            perm = tuple(range(len(rs.roots)))
+            for j in reversed(v.min_rep.word):
+                perm = compose(refl[j], perm)
+            got.append((v.coset_id, v.dim, v.min_rep.word, perm))
         assert got == vertices, key
         assert list(graph.edges) == edges, key
         assert list(graph.action) == action, key
@@ -142,10 +149,35 @@ def test_build_graph_cache_is_shared_across_budgets():
     pair = mr.validate_candidate(diagram, sigma).pair
     graph = mr.build_graph(pair, budget=100)
     assert mr.build_graph(pair, budget=24) is graph
-    assert _MODEL_CACHE[(diagram.cartan, sigma.mapping)] is graph
+    assert diagram_data(diagram).graphs[sigma.mapping] is graph
     with pytest.raises(BudgetExceededError) as info:
         mr.build_graph(pair, budget=23)
     assert "A3" in str(info.value) and "24" in str(info.value)
+
+
+@pytest.fixture
+def private_diagram_data(monkeypatch):
+    """``diagram_data`` with a cache of its own for one test, so that clearing
+    it keeps the groups and graphs the rest of the session has built."""
+    private = functools.lru_cache(maxsize=None)(weyl.DiagramData)
+    for module in (weyl, folding, orbits):
+        monkeypatch.setattr(module, "diagram_data", private)
+    return private
+
+
+def test_cache_clear_drops_the_graphs_and_keeps_the_budget(private_diagram_data):
+    diagram = mr.build_dynkin("A", 3)
+    sigma = mr.FoldingInvolution.from_pairs(diagram, [("1", "3")])
+    pair = mr.validate_candidate(diagram, sigma).pair
+    graph = mr.build_graph(pair)
+    assert private_diagram_data(diagram).graphs == {sigma.mapping: graph}
+    private_diagram_data.cache_clear()
+    rebuilt = mr.build_graph(pair)
+    assert rebuilt is not graph
+    assert mr.build_graph(pair) is rebuilt
+    assert private_diagram_data(diagram).graphs == {sigma.mapping: rebuilt}
+    with pytest.raises(BudgetExceededError):
+        mr.build_graph(pair, budget=23)
 
 
 def test_build_graph_never_lists_a_group():
@@ -157,7 +189,7 @@ def test_build_graph_never_lists_a_group():
     graph = mr.build_graph(report.pair)
     assert [v.dim for v in graph.vertices] == list(range(36, 43))
     assert [len(v.min_rep.word) for v in graph.vertices] == list(range(7))
-    assert diagram not in mr.weyl._GROUP_CACHE
+    assert diagram_data(diagram).group is None
 
 
 def test_quotient_certificate_fails_on_each_broken_part():
