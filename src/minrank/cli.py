@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .folding import (
     FoldingInvolution,
@@ -22,6 +21,7 @@ from .folding import (
     candidate_from_json,
     classification_to_json,
     classify,
+    diagonal_candidate,
     pair_to_json,
     validate_candidate,
 )
@@ -33,20 +33,10 @@ from .orbits import (
     report_to_json,
     verify_pair,
 )
-from .root_system import build_dynkin, disjoint_union
+from .root_system import build_dynkin
 from .weyl import DEFAULT_BUDGET, BudgetExceededError
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    max_rank: int | None
-    pair_selector: str | None
-    output_format: str
-    output_path: str | None
-    budget: int
 
 
 class UsageError(Exception):
@@ -64,8 +54,12 @@ def _emit(text: str, path: str | None) -> None:
             raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(obj, path: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def _parse_type(text: str) -> tuple[str, int]:
@@ -82,7 +76,7 @@ def _build_typed(letter: str, rank: int):
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
+def _resolve_pair(selector: str, budget: int) -> ValidationReport:
     """Turn a --pair selector into a validation report.
 
     Family keys ("A3_C2") must resolve to exactly one nontrivial fold up
@@ -92,8 +86,6 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
     candidates; a string starting with "{" is an explicit candidate JSON.
     Only the explicit forms can return a failing report.
     """
-    if selector is None:
-        raise UsageError("--pair is required")
     s = selector.strip()
     if s.startswith("{"):
         try:
@@ -111,13 +103,8 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
             diagram, FoldingInvolution.identity(diagram), budget=budget
         )
     if s.startswith("diag:"):
-        letter, rank = _parse_type(s[len("diag:"):])
-        single = _build_typed(letter, rank)
-        doubled = disjoint_union(single, single)
-        swap = FoldingInvolution(
-            tuple(list(range(rank, 2 * rank)) + list(range(rank)))
-        )
-        return validate_candidate(doubled, swap, budget=budget)
+        single = _build_typed(*_parse_type(s[len("diag:"):]))
+        return validate_candidate(*diagonal_candidate(single), budget=budget)
     if "_" in s:
         g_part, h_part = s.split("_", 1)
         g_letter, g_rank = _parse_type(g_part)
@@ -145,7 +132,7 @@ def _resolve_pair(selector: str | None, budget: int) -> ValidationReport:
     raise UsageError(f"unrecognized pair selector {selector!r}")
 
 
-def _require_valid(report: ValidationReport, selector: str | None):
+def _require_valid(report: ValidationReport, selector: str):
     if not report.ok or report.pair is None:
         raise UsageError(
             f"selector {selector!r} fails validation at check "
@@ -162,107 +149,91 @@ def _sigma_text(pair) -> str:
     return " ".join(f"({vertices[i]} {vertices[j]})" for i, j in cycles)
 
 
-def run_classify(cfg: RunConfig) -> int:
-    if cfg.max_rank is None:
-        raise UsageError("--max-rank is required")
+def run_classify(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
     try:
-        pairs = classify(cfg.max_rank, budget=cfg.budget)
+        pairs = classify(ns.max_rank, budget=budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if cfg.output_format == "json":
-        _emit_json(classification_to_json(pairs), cfg.output_path)
-    else:
-        lines = [
-            f"{p.g_diagram.type_label}  sigma={_sigma_text(p)}  ->  "
-            f"{p.h_colored.diagram.type_label}  "
-            f"black={{{','.join(p.h_colored.black) or ''}}}  family={p.family}"
-            for p in pairs
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return 0
+    if ns.format == "json":
+        return 0, _json(classification_to_json(pairs))
+    return 0, _lines([
+        f"{p.g_diagram.type_label}  sigma={_sigma_text(p)}  ->  "
+        f"{p.h_colored.diagram.type_label}  "
+        f"black={{{','.join(p.h_colored.black) or ''}}}  family={p.family}"
+        for p in pairs
+    ])
 
 
-def run_verify(cfg: RunConfig) -> int:
-    report = _resolve_pair(cfg.pair_selector, cfg.budget)
+def run_verify(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
+    report = _resolve_pair(ns.pair, budget)
     if not report.ok or report.pair is None:
-        obj = {
-            "selector": cfg.pair_selector,
-            "ok": False,
-            "validation": {"failed_check": report.failed_check, "tag": report.tag},
-        }
-        if cfg.output_format == "json":
-            _emit_json(obj, cfg.output_path)
-        else:
-            _emit(
-                f"candidate rejected at check {report.failed_check} "
-                f"({report.tag})\n",
-                cfg.output_path,
-            )
-        return 1
-    result = verify_pair(report.pair, budget=cfg.budget)
-    if cfg.output_format == "json":
-        _emit_json(report_to_json(result), cfg.output_path)
-    else:
-        lines = [
-            f"pair {result.pair.g_diagram.type_label} -> "
-            f"{result.pair.h_colored.diagram.type_label}: "
-            f"{result.orbit_count} orbits, Q={list(result.q)}"
-        ]
-        witnesses = {name: ", ".join(map(str, w)) for name, w in result.witnesses}
-        lines += [
-            f"  {name}: {'pass' if passed else 'FAIL'}"
-            + (f" (witness {witnesses[name]})" if name in witnesses else "")
-            for name, passed in result.checks
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return 0 if result.ok else 1
-
-
-def run_graph(cfg: RunConfig) -> int:
-    report = _resolve_pair(cfg.pair_selector, cfg.budget)
-    pair = _require_valid(report, cfg.pair_selector)
-    graph = build_graph(pair, budget=cfg.budget)
-    if cfg.output_format == "json":
-        _emit_json(graph_to_json(graph), cfg.output_path)
-    elif cfg.output_format == "dot":
-        _emit(graph_to_dot(graph), cfg.output_path)
-    else:
-        names = pair.g_diagram.vertices
-        lines = [
-            f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
-            f"dims {graph.d_h}..{graph.d_g}"
-        ]
-        lines += [
-            f"  c{lo}/d{graph.vertices[lo].dim} -> c{hi}/d{graph.vertices[hi].dim}"
-            f"  [{names[j]}]"
-            for lo, hi, j in graph.edges
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return 0
-
-
-def run_poincare(cfg: RunConfig) -> int:
-    report = _resolve_pair(cfg.pair_selector, cfg.budget)
-    pair = _require_valid(report, cfg.pair_selector)
-    p_g, p_h, q, identity_ok = poincare_triple(pair, budget=cfg.budget)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "pair": pair_to_json(pair),
-                "P_G": list(p_g),
-                "P_H": list(p_h),
-                "Q": list(q),
-                "factorization_ok": identity_ok,
-            },
-            cfg.output_path,
+        if ns.format == "json":
+            return 1, _json({
+                "selector": ns.pair,
+                "ok": False,
+                "validation": {"failed_check": report.failed_check, "tag": report.tag},
+            })
+        return 1, (
+            f"candidate rejected at check {report.failed_check} ({report.tag})\n"
         )
-    else:
-        _emit(
-            f"P_G = {list(p_g)}\nP_H = {list(p_h)}\nQ   = {list(q)}\n"
-            f"Q * P_H == P_G: {identity_ok}\n",
-            cfg.output_path,
-        )
-    return 0 if identity_ok else 1
+    result = verify_pair(report.pair, budget=budget)
+    code = 0 if result.ok else 1
+    if ns.format == "json":
+        return code, _json(report_to_json(result))
+    witnesses = {name: ", ".join(map(str, w)) for name, w in result.witnesses}
+    return code, _lines([
+        f"pair {result.pair.g_diagram.type_label} -> "
+        f"{result.pair.h_colored.diagram.type_label}: "
+        f"{result.orbit_count} orbits, Q={list(result.q)}"
+    ] + [
+        f"  {name}: {'pass' if passed else 'FAIL'}"
+        + (f" (witness {witnesses[name]})" if name in witnesses else "")
+        for name, passed in result.checks
+    ])
+
+
+def run_graph(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
+    pair = _require_valid(_resolve_pair(ns.pair, budget), ns.pair)
+    graph = build_graph(pair, budget=budget)
+    if ns.format == "json":
+        return 0, _json(graph_to_json(graph))
+    if ns.format == "dot":
+        return 0, graph_to_dot(graph)
+    names = pair.g_diagram.vertices
+    return 0, _lines([
+        f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
+        f"dims {graph.d_h}..{graph.d_g}"
+    ] + [
+        f"  c{lo}/d{graph.vertices[lo].dim} -> c{hi}/d{graph.vertices[hi].dim}"
+        f"  [{names[j]}]"
+        for lo, hi, j in graph.edges
+    ])
+
+
+def run_poincare(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
+    pair = _require_valid(_resolve_pair(ns.pair, budget), ns.pair)
+    p_g, p_h, q, identity_ok = poincare_triple(pair, budget=budget)
+    code = 0 if identity_ok else 1
+    if ns.format == "json":
+        return code, _json({
+            "pair": pair_to_json(pair),
+            "P_G": list(p_g),
+            "P_H": list(p_h),
+            "Q": list(q),
+            "factorization_ok": identity_ok,
+        })
+    return code, (
+        f"P_G = {list(p_g)}\nP_H = {list(p_h)}\nQ   = {list(q)}\n"
+        f"Q * P_H == P_G: {identity_ok}\n"
+    )
+
+
+_RUNNERS = {
+    "classify": run_classify,
+    "verify": run_verify,
+    "graph": run_graph,
+    "poincare": run_poincare,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,23 +304,11 @@ def main(argv: list[str] | None = None) -> int:
                     ) from exc
         if budget < 1:
             raise UsageError(f"{source} must be at least 1, got {budget}")
-        cfg = RunConfig(
-            command=ns.command,
-            max_rank=getattr(ns, "max_rank", None),
-            pair_selector=getattr(ns, "pair", None),
-            output_format=ns.format,
-            output_path=ns.out,
-            budget=budget,
-        )
-        if cfg.output_format == "dot" and cfg.command != "graph":
+        if ns.format == "dot" and ns.command != "graph":
             raise UsageError("dot output is only available for the graph command")
-        runner = {
-            "classify": run_classify,
-            "verify": run_verify,
-            "graph": run_graph,
-            "poincare": run_poincare,
-        }[cfg.command]
-        return runner(cfg)
+        code, text = _RUNNERS[ns.command](ns, budget)
+        _emit(text, ns.out)
+        return code
     except UsageError as exc:
         print(f"minrank: {exc}", file=sys.stderr)
         return 2

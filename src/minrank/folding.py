@@ -148,10 +148,6 @@ class ValidationReport:
     pair: MinimalRankPair | None = None
 
 
-def _fail(check: str, tag: str) -> ValidationReport:
-    return ValidationReport(ok=False, failed_check=check, tag=tag)
-
-
 class _CheckFailed(ValueError):
     """A folding check failed; ``check`` and ``tag`` name it in reports."""
 
@@ -162,46 +158,47 @@ class _CheckFailed(ValueError):
 
 
 def _is_diagonal(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
+    """True when g has two components and sigma swaps them."""
     comps = g_diagram.components
-    if len(comps) != 2 or len(comps[0]) != len(comps[1]):
-        return False
-    a, b = set(comps[0]), set(comps[1])
-    return all(
-        (i in a and sigma.mapping[i] in b) or (i in b and sigma.mapping[i] in a)
-        for i in range(g_diagram.rank)
+    return len(comps) == 2 and {sigma.mapping[i] for i in comps[0]} == set(comps[1])
+
+
+def _order_is_known(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
+    """True when the embedded folded group has order |W(h)| by construction.
+
+    That holds for the identity, and when sigma swaps the two components
+    of g by a diagram isomorphism phi: the folded words are then the pairs
+    (s_i, s_phi(i)), which generate the graph of phi in W(a) x W(b), a
+    group of order |W(a)| = |W(h)| (Steinberg 1968).  Its coset table, of
+    |W(a)| rows, need not be built.
+    """
+    if sigma.is_identity:
+        return True
+    m, cartan = sigma.mapping, g_diagram.cartan
+    return _is_diagonal(g_diagram, sigma) and all(
+        cartan[m[i]][m[j]] == cartan[i][j] for i in range(len(m)) for j in range(len(m))
     )
 
 
-def _is_straight_swap(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
-    """True when g is two identical blocks and sigma is i <-> i+n.
-
-    For such candidates the embedded generators are (s_i, s_i) in the
-    product group, which generate the graph of the identity isomorphism;
-    its order is |W(block)|, and its coset table, of |W(block)| rows, need
-    not be built.
-    """
-    n = g_diagram.rank // 2
-    if g_diagram.rank != 2 * n or n == 0:
-        return False
-    if any(sigma.mapping[i] != i + n for i in range(n)):
-        return False
-    cartan = g_diagram.cartan
-    for i in range(n):
-        for j in range(n):
-            if cartan[i][j] != cartan[i + n][j + n]:
-                return False
-            if cartan[i][j + n] != 0 or cartan[i + n][j] != 0:
-                return False
-    return True
+def _typed_components(cartan) -> list[tuple[str, int, tuple[int, ...]]] | None:
+    """(letter, rank, vertices in standard order) for each connected
+    component, in component order; None when one is not of finite type."""
+    out = []
+    for comp in components(cartan):
+        hit = identify_component(cartan, comp)
+        if hit is None:
+            return None
+        letter, rank, perm = hit
+        out.append((letter, rank, tuple(comp[k] for k in perm)))
+    return out
 
 
 def _identify_type(diagram: DynkinDiagram) -> tuple[str, int] | None:
     """(letter, rank) of a connected diagram, canonical at coincidences."""
-    comps = diagram.components
-    if len(comps) != 1:
+    if len(diagram.components) != 1:
         return None
-    hit = identify_component(diagram.cartan, comps[0])
-    return None if hit is None else (hit[0], hit[1])
+    typed = _typed_components(diagram.cartan)
+    return None if typed is None else typed[0][:2]
 
 
 _FOLD_FAMILIES = {
@@ -300,17 +297,11 @@ def _folded_presentation(
         DynkinDiagram("", cartan_h, tuple(map(str, range(m))))
     except ValueError as exc:
         raise _CheckFailed("c", "image_not_root_system", str(exc)) from None
-    identified = []
-    for comp in components(cartan_h):
-        hit = identify_component(cartan_h, comp)
-        if hit is None:
-            raise _CheckFailed(
-                "c",
-                "image_not_root_system",
-                "folded Cartan matrix is not of finite type",
-            )
-        letter, rank, perm = hit
-        identified.append((letter, rank, tuple(comp[k] for k in perm)))
+    identified = _typed_components(cartan_h)
+    if identified is None:
+        raise _CheckFailed(
+            "c", "image_not_root_system", "folded Cartan matrix is not of finite type"
+        )
     identified.sort()
     orbit_of_vertex = [k for _, _, idx in identified for k in idx]
     h_diagram = DynkinDiagram(
@@ -358,56 +349,53 @@ def validate_candidate(
 
     Checks: (a) 2-cycles orthogonal; (b) fibers of size 1 or 2, 2-fibers
     orthogonal (both in ``restriction_map``); (c) image equals the root
-    system of the folded Cartan matrix (``folded_simple_system``); (d)
-    root count identity; (e) embedded generators map fibers onto fibers;
-    (f) preimages of folded simples are the ambient simples; (g)
-    identity/diagonal tagging; then the embedding order.  On success the
-    report carries the assembled MinimalRankPair.
+    system of the folded Cartan matrix (``folded_simple_system``); (e)
+    embedded generators map fibers onto fibers; the embedding order; then
+    (g) identity/diagonal tagging.  On success the report carries the
+    assembled MinimalRankPair.
+
+    The letters (d) and (f) name no check: the root-count and
+    simple-preimage identities cannot fail.  Every root lies in exactly
+    one fiber, so the fiber sizes sum to the root count; roots are
+    sign-coherent, so a root projecting onto the k-th folded simple root
+    is a simple root in orbit k, and the preimages of the folded simples
+    are the ambient simples.
     """
+    cartan = g_diagram.cartan
     try:
         rho = restriction_map(g_diagram, sigma)
         h_colored, wh_generators = _folded_presentation(rho)
+
+        # (e) embedded generators must map every 2-fiber into a single fiber
+        for word in wh_generators:
+            for img, fiber in rho.fibers.items():
+                if len(fiber) == 2 and len(
+                    {rho.project(_apply_word(cartan, word, r)) for r in fiber}
+                ) != 1:
+                    raise _CheckFailed(
+                        "e", "wh_stability", f"word {word} splits the fiber over {img}"
+                    )
+
+        # embedded subgroup must realize the abstract folded Weyl group: the
+        # folded words generate a subgroup of order |W(g)| / index, the index
+        # read off their coset table.
+        if not _order_is_known(g_diagram, sigma):
+            expected = order_within_budget(h_colored.diagram, budget)
+            index = len(coset_table(cartan, wh_generators, budget=budget))
+            if index * expected != sum(diagram_data(g_diagram).poincare):
+                raise _CheckFailed(
+                    "embed",
+                    "embedding_order",
+                    f"embedded subgroup has index {index}, |W(h)| = {expected}",
+                )
     except _CheckFailed as exc:
-        return _fail(exc.check, exc.tag)
-    rs = diagram_data(g_diagram).root_system
-    cartan = g_diagram.cartan
-
-    # (d) every ambient root is counted once per fiber element
-    if len(rs.roots) != sum(len(f) for f in rho.fibers.values()):
-        return _fail("d", "root_count")
-
-    # (e) embedded generators must map every 2-fiber into a single fiber
-    for word in wh_generators:
-        for fiber in rho.fibers.values():
-            if len(fiber) == 2 and len(
-                {rho.project(_apply_word(cartan, word, r)) for r in fiber}
-            ) != 1:
-                return _fail("e", "wh_stability")
-
-    # (f) preimages of the folded simple roots are exactly the simples
-    m = len(rho.orbits)
-    preimage = {r for k in range(m) for r in rho.fibers.get(_basis(m, k), ())}
-    if preimage != set(rs.simple_roots):
-        return _fail("f", "simple_preimage")
+        return ValidationReport(ok=False, failed_check=exc.check, tag=exc.tag)
 
     # (g) nonredundancy tags
-    tags: tuple[str, ...] = ()
-    if sigma.is_identity:
-        tags = ("identity pair",)
+    tags: tuple[str, ...] = ("identity pair",) if sigma.is_identity else ()
     diagonal = _is_diagonal(g_diagram, sigma)
     if diagonal:
         tags = ("diagonal pair",)
-
-    # embedded subgroup must realize the abstract folded Weyl group: the
-    # folded words generate a subgroup of order |W(g)| / index, the index
-    # read off their coset table.  The identity and the straight component
-    # swap are exempt (see _is_straight_swap).
-    if not sigma.is_identity and not _is_straight_swap(g_diagram, sigma):
-        expected = order_within_budget(h_colored.diagram, budget)
-        index = len(coset_table(cartan, wh_generators, budget=budget))
-        if index * expected != sum(diagram_data(g_diagram).poincare):
-            return _fail("embed", "embedding_order")
-
     pair = MinimalRankPair(
         g_diagram=g_diagram,
         sigma=sigma,
@@ -512,11 +500,16 @@ def _sort_key(pair: MinimalRankPair) -> tuple:
     )
 
 
-def classify(
-    max_rank: int,
-    budget: int = DEFAULT_BUDGET,
-    rank_cap: int = DEFAULT_RANK_CAP,
-) -> list[MinimalRankPair]:
+def diagonal_candidate(
+    single: DynkinDiagram,
+) -> tuple[DynkinDiagram, FoldingInvolution]:
+    """The doubled diagram single + single with the swap i <-> i + n."""
+    n = single.rank
+    swap = FoldingInvolution(tuple(range(n, 2 * n)) + tuple(range(n)))
+    return disjoint_union(single, single), swap
+
+
+def classify(max_rank: int, budget: int = DEFAULT_BUDGET) -> list[MinimalRankPair]:
     """All minimal-rank pairs with connected folded diagram of rank <= max_rank.
 
     Enumerates connected diagrams of rank <= max_rank with every
@@ -528,8 +521,10 @@ def classify(
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    if max_rank > rank_cap:
-        raise ValueError(f"max_rank {max_rank} exceeds the configured cap {rank_cap}")
+    if max_rank > DEFAULT_RANK_CAP:
+        raise ValueError(
+            f"max_rank {max_rank} exceeds the configured cap {DEFAULT_RANK_CAP}"
+        )
     found: dict[tuple, MinimalRankPair] = {}
 
     def _add(key: tuple, diagram: DynkinDiagram, sigma: FoldingInvolution) -> None:
@@ -548,9 +543,7 @@ def classify(
         for sigma in _orthogonal_involutions(diagram):
             _add(_canonical_key(diagram.cartan, sigma.mapping), diagram, sigma)
     for single in connected:
-        n = single.rank
-        swap = FoldingInvolution(tuple(list(range(n, 2 * n)) + list(range(n))))
-        _add(("diag", single.cartan), disjoint_union(single, single), swap)
+        _add(("diag", single.cartan), *diagonal_candidate(single))
 
     return sorted(found.values(), key=_sort_key)
 
@@ -576,14 +569,11 @@ def decompose(
         cartan = tuple(
             tuple(pair.g_diagram.cartan[a][b] for b in g_idx) for a in g_idx
         )
-        labels = []
-        for sub_comp in components(cartan):
-            hit = identify_component(cartan, sub_comp)
-            if hit is None:
-                raise ValueError("factor diagram is not of finite type")
-            labels.append(f"{hit[0]}{hit[1]}")
+        typed = _typed_components(cartan)
+        if typed is None:
+            raise ValueError("factor diagram is not of finite type")
         sub_diagram = DynkinDiagram(
-            type_label="+".join(labels),
+            type_label="+".join(f"{letter}{rank}" for letter, rank, _ in typed),
             cartan=cartan,
             vertices=tuple(str(i + 1) for i in range(len(g_idx))),
         )

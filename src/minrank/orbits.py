@@ -504,7 +504,10 @@ def graph_to_json(graph: OrbitGraph) -> dict:
 
 
 def graph_to_dot(graph: OrbitGraph) -> str:
-    names = graph.pair.g_diagram.vertices
+    names = [
+        name.replace("\\", "\\\\").replace('"', '\\"')
+        for name in graph.pair.g_diagram.vertices
+    ]
     lines = ["digraph orbits {", "  rankdir=BT;"]
     for v in graph.vertices:
         lines.append(f'  "c{v.coset_id}/d{v.dim}";')

@@ -12,10 +12,6 @@ from functools import cached_property
 
 Root = tuple[int, ...]
 
-# Closure bound per connected component; E8 has 240 roots, nothing in
-# finite type exceeds that.
-CLOSURE_BOUND = 300
-
 # Practical ceiling for full permutation-group enumeration downstream.
 DEFAULT_RANK_CAP = 7
 
@@ -189,16 +185,18 @@ def _reflect_coords(cartan, beta: Root, j: int) -> Root:
     return tuple(out)
 
 
-def build_root_system(diagram: DynkinDiagram, bound: int = CLOSURE_BOUND) -> RootSystem:
+def build_root_system(diagram: DynkinDiagram) -> RootSystem:
     """Close the simple roots under simple reflections, component by component.
 
-    Raises ValueError if any component's closure exceeds ``bound`` roots,
-    which signals non-finite input.
+    Raises ValueError if the closure of a component of rank r exceeds
+    max(2r², 240) roots, which signals non-finite input: B_r and C_r have
+    2r² roots, the most of any classical type of rank r, and E8 has 240.
     """
     n = diagram.rank
     cartan = diagram.cartan
     all_roots: set[Root] = set()
     for comp in diagram.components:
+        bound = max(2 * len(comp) ** 2, 240)
         comp_roots: set[Root] = {_basis(n, i) for i in comp}
         frontier = list(comp_roots)
         while frontier:

@@ -166,6 +166,18 @@ def test_graph_dot_output(capsys):
     assert out.endswith("}\n")
 
 
+def test_graph_dot_escapes_quotes_and_backslashes_in_labels(capsys):
+    names = ['a"b', "x\\y", "c"]
+    g = {**diagram_to_json(mr.build_dynkin("A", 3)), "vertices": names}
+    selector = json.dumps({"g": g, "sigma": [['a"b', "c"]]})
+    code, out, _ = run_cli(capsys, "graph", "--pair", selector, "--format", "dot")
+    assert code == 0
+    # every quoted DOT string closes before the end of its line
+    quoted = r'([^"]|"([^"\\]|\\.)*")*'
+    assert all(re.fullmatch(quoted, line) for line in out.splitlines())
+    assert re.findall(r'label="((?:[^"\\]|\\.)*)"', out) == ['a\\"b', "c", "x\\\\y"]
+
+
 def test_graph_export_of_a_relabeled_pair_uses_its_own_vertex_names(capsys):
     """A3_C2 and the same fold on vertices a, b, c share a Cartan matrix and
     an involution; the second export must not reuse the first one's graph."""
@@ -208,6 +220,25 @@ def test_budget_flag_exhaustion_exits_3(capsys):
     code, _, err = run_cli(capsys, "verify", "--pair", "A3_C2", "--budget", "10")
     assert code == 3
     assert "minrank:" in err
+
+
+A17 = diagram_to_json(mr.build_dynkin("A", 17))
+
+
+@pytest.mark.parametrize(
+    "selector, label",
+    [
+        ("identity:A17", "A17"),
+        ("diag:B13", "B13+B13"),
+        (json.dumps({"g": A17, "sigma": []}), "A17"),
+    ],
+    ids=["identity:A17", "diag:B13", "explicit A17"],
+)
+def test_types_with_more_roots_than_e8_reach_the_budget(capsys, selector, label):
+    code, out, err = run_cli(capsys, "verify", "--pair", selector)
+    assert code == 3
+    assert out == ""
+    assert f"Weyl group of {label} has order" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -216,9 +216,9 @@ def test_quotient_certificate_fails_on_each_broken_part():
 def embedding_candidates():
     """Every candidate of ambient rank <= 6 that reaches the embedding step
     of validation: connected diagrams, unions of two connected diagrams and
-    the rank-2 table, each with every orthogonal involution, except the
-    identity and the straight component swap."""
-    from minrank.folding import _is_straight_swap, _orthogonal_involutions
+    the rank-2 table, each with every orthogonal involution, except those
+    whose embedded order is known without a table (``_order_is_known``)."""
+    from minrank.folding import _order_is_known, _orthogonal_involutions
 
     connected = [mr.build_dynkin(letter, rank) for letter, rank in CONNECTED_RANK6]
     diagrams = connected + [
@@ -230,7 +230,7 @@ def embedding_candidates():
     candidates = [(g, s) for g in diagrams for s in _orthogonal_involutions(g)]
     candidates += [(row.g, row.sigma) for row in mr.rank2_table()]
     for g, sigma in candidates:
-        if sigma.is_identity or _is_straight_swap(g, sigma):
+        if _order_is_known(g, sigma):
             continue
         report = mr.validate_candidate(g, sigma)
         if report.ok or report.failed_check == "embed":

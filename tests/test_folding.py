@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -6,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minrank as mr
-from minrank.folding import _canonical_key, candidate_from_json
-from minrank.weyl import compose
+from minrank.folding import (
+    _CheckFailed,
+    _canonical_key,
+    _generator_perm,
+    _order_is_known,
+    _orthogonal_involutions,
+    candidate_from_json,
+)
+from minrank.root_system import _identification_candidates
+from minrank.weyl import compose, perm_closure
 
 import oracles
 
@@ -389,3 +398,85 @@ def test_classify_builds_no_root_permutation(monkeypatch, classified6):
     forbid_root_permutations(monkeypatch)
     pairs = mr.classify(6)
     assert mr.classification_to_json(pairs) == mr.classification_to_json(classified6)
+
+
+def fold_candidates():
+    """Every orthogonal involution on the connected diagrams and on the
+    unions of two connected diagrams of ambient rank <= 6, then the rank-2
+    table's candidates."""
+    connected = [
+        mr.build_dynkin(letter, r)
+        for rank in range(1, 7)
+        for letter, r in _identification_candidates(rank)
+    ]
+    diagrams = connected + [
+        mr.disjoint_union(d1, d2)
+        for i, d1 in enumerate(connected)
+        for d2 in connected[i:]
+        if d1.rank + d2.rank <= 6
+    ]
+    candidates = [(g, s) for g in diagrams for s in _orthogonal_involutions(g)]
+    return candidates + [(row.g, row.sigma) for row in mr.rank2_table()]
+
+
+def test_fiber_sizes_and_simple_preimages_hold_past_check_c():
+    """The two identities that make a root-count check and a simple-preimage
+    check unnecessary: every root lies in exactly one fiber, and the roots
+    over the folded simple roots are exactly the ambient simple roots."""
+    reached = 0
+    for g, sigma in fold_candidates():
+        try:
+            rho = mr.restriction_map(g, sigma)
+            mr.folded_simple_system(rho)
+        except _CheckFailed:
+            continue
+        rs = mr.build_root_system(g)
+        assert sum(len(fiber) for fiber in rho.fibers.values()) == len(rs.roots)
+        m = len(rho.orbits)
+        simples = {tuple(int(i == k) for i in range(m)) for k in range(m)}
+        preimage = {r for img in simples for r in rho.fibers[img]}
+        assert preimage == set(rs.simple_roots), (g.type_label, sigma.mapping)
+        reached += 1
+    assert reached >= 250
+
+
+def relabeled_swaps():
+    """Two component swaps by a diagram isomorphism other than i <-> i + n:
+    A3+A3 through the flip of A3, and D4+D4 with the second block relabeled
+    so that its branch vertex comes first."""
+    a3a3 = mr.disjoint_union(mr.build_dynkin("A", 3), mr.build_dynkin("A", 3))
+    flip = mr.FoldingInvolution.from_pairs(a3a3, [("1", "6"), ("2", "5"), ("3", "4")])
+    d4 = mr.build_dynkin("D", 4).cartan
+    p = (1, 0, 2, 3)  # vertex a of the second block is standard vertex p[a]
+    block = [[d4[p[a]][p[b]] for b in range(4)] for a in range(4)]
+    cartan = tuple(
+        tuple(d4[a][b] if a < 4 and b < 4 else 0 for b in range(8))
+        if a < 4
+        else tuple(0 if b < 4 else block[a - 4][b - 4] for b in range(8))
+        for a in range(8)
+    )
+    d4d4 = mr.DynkinDiagram("D4+D4", cartan, tuple(str(i + 1) for i in range(8)))
+    swap = mr.FoldingInvolution(tuple(4 + p.index(i) for i in range(4)) + p)
+    return [(a3a3, flip), (d4d4, swap)]
+
+
+def test_exempt_candidates_validate_with_the_folded_group_order():
+    """Every candidate whose embedded order validation takes as known
+    passes, and its folded generators generate a group of order |W(h)|.
+    The closure is listed up to ambient rank 5: on the identities of rank 6
+    it would be W(g) itself, up to 51,840 elements."""
+    candidates = fold_candidates() + relabeled_swaps()
+    exempt = [(g, s) for g, s in candidates if _order_is_known(g, s)]
+    assert sum(not s.is_identity for _, s in exempt) >= 9
+    for g, sigma in exempt:
+        report = mr.validate_candidate(g, sigma)
+        assert report.ok, (g.type_label, sigma.mapping)
+        if sigma.is_identity and g.rank > 5:
+            continue
+        rs = mr.build_root_system(g)
+        gens = [_generator_perm(rs, word) for word in report.pair.wh_generators]
+        h_label = report.pair.h_colored.diagram.type_label
+        order = math.prod(
+            oracles.weyl_order(t[0], int(t[1:])) for t in h_label.split("+")
+        )
+        assert len(perm_closure(gens, len(rs.roots))) == order, h_label

@@ -72,6 +72,16 @@ def test_low_rank_aliases_are_accepted():
     assert len(mr.build_root_system(d3).roots) == 12
 
 
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 17), ("D", 13), ("B", 13), ("C", 13), ("E", 8)]
+)
+def test_root_closure_admits_finite_types_with_more_roots_than_e8(letter, rank):
+    """A17, D13, B13 and C13 have 306, 312, 338 and 338 roots."""
+    rs = mr.build_root_system(mr.build_dynkin(letter, rank))
+    # a finite type has sum(d - 1) positive roots over its degrees d
+    assert len(rs.roots) == 2 * sum(d - 1 for d in oracles.degrees(letter, rank))
+
+
 def test_malformed_cartan_is_rejected():
     with pytest.raises(ValueError):
         mr.DynkinDiagram("X2", ((2, -1), (0, 2)), ("1", "2"))
