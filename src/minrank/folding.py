@@ -25,6 +25,7 @@ from .root_system import (
     disjoint_union,
     identify_component,
     string_pairing,
+    _as_given,
     _basis,
     _identification_candidates,
     _reflect_coords,
@@ -37,7 +38,6 @@ from .weyl import (
     compose,
     coset_table,
     diagram_data,
-    full_subgroup,
     order_within_budget,
     perm_closure,
     perm_key,
@@ -180,7 +180,10 @@ def _order_is_known(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
     )
 
 
-def _typed_components(cartan) -> list[tuple[str, int, tuple[int, ...]]] | None:
+TypedComponents = list[tuple[str, int, tuple[int, ...]]]
+
+
+def _typed_components(cartan) -> TypedComponents | None:
     """(letter, rank, vertices in standard order) for each connected
     component, in component order; None when one is not of finite type."""
     out = []
@@ -193,14 +196,6 @@ def _typed_components(cartan) -> list[tuple[str, int, tuple[int, ...]]] | None:
     return out
 
 
-def _identify_type(diagram: DynkinDiagram) -> tuple[str, int] | None:
-    """(letter, rank) of a connected diagram, canonical at coincidences."""
-    if len(diagram.components) != 1:
-        return None
-    typed = _typed_components(diagram.cartan)
-    return None if typed is None else typed[0][:2]
-
-
 _FOLD_FAMILIES = {
     ("B", 3, "G", 2): "B3_G2",
     ("E", 6, "F", 4): "E6_F4",
@@ -210,21 +205,21 @@ _FOLD_FAMILIES = {
 def _family_name(
     g_diagram: DynkinDiagram,
     sigma: FoldingInvolution,
-    h_diagram: DynkinDiagram,
+    h_components: TypedComponents,
     diagonal: bool,
 ) -> str:
-    if len(h_diagram.components) > 1:
+    """Family of a validated pair, from h's components as typed by validation."""
+    if len(h_components) > 1:
         return "product"
     if sigma.is_identity:
         return "identity"
     if diagonal:
         return "diagonal"
-    g_type = _identify_type(g_diagram)
-    h_type = _identify_type(h_diagram)
-    if g_type is None or h_type is None:
+    g_components = _typed_components(g_diagram.cartan)
+    if g_components is None or len(g_components) != 1:
         return "unknown"
-    gl, gr = g_type
-    hl, hr = h_type
+    (gl, gr, _), = g_components
+    (hl, hr, _), = h_components
     if gl == "A" and hl == "C" and gr == 2 * hr - 1:
         return "A2n-1_Cn"
     if gl == "D" and hl == "B" and hr == gr - 1:
@@ -275,9 +270,9 @@ def restriction_map(
 
 def _folded_presentation(
     rho: RestrictionData,
-) -> tuple[ColoredDynkin, tuple[tuple[int, ...], ...]]:
-    """Check (c): the folded diagram in standard Bourbaki form, with the
-    orbit behind each of its vertices.
+) -> tuple[ColoredDynkin, tuple[tuple[int, ...], ...], TypedComponents]:
+    """Check (c): the folded diagram in standard Bourbaki form, the orbit
+    behind each of its vertices, and its typed components.
 
     The folded Cartan matrix is read off root strings in the image; each
     component is relabeled to its standard type, components ordered by
@@ -323,7 +318,7 @@ def _folded_presentation(
         )
     wh_generators = tuple(rho.orbits[k] for k in orbit_of_vertex)
     black = tuple(str(v + 1) for v, w in enumerate(wh_generators) if len(w) == 2)
-    return ColoredDynkin(diagram=h_diagram, black=black), wh_generators
+    return ColoredDynkin(diagram=h_diagram, black=black), wh_generators, identified
 
 
 def folded_simple_system(rho: RestrictionData) -> ColoredDynkin:
@@ -364,7 +359,7 @@ def validate_candidate(
     cartan = g_diagram.cartan
     try:
         rho = restriction_map(g_diagram, sigma)
-        h_colored, wh_generators = _folded_presentation(rho)
+        h_colored, wh_generators, h_components = _folded_presentation(rho)
 
         # (e) embedded generators must map every 2-fiber into a single fiber
         for word in wh_generators:
@@ -402,7 +397,7 @@ def validate_candidate(
         h_colored=h_colored,
         rho=rho,
         wh_generators=wh_generators,
-        family=_family_name(g_diagram, sigma, h_colored.diagram, diagonal),
+        family=_family_name(g_diagram, sigma, h_components, diagonal),
     )
     return ValidationReport(ok=True, tags=tags, pair=pair)
 
@@ -432,7 +427,7 @@ def embed_weyl(
     gen_perms = [_generator_perm(rs, orbit) for orbit in pair.wh_generators]
     generators = tuple(W.elements[perm_key(p)] for p in gen_perms)
     if pair.sigma.is_identity:
-        return full_subgroup(W), generators
+        return Subgroup(W, tuple(w.perm for w in W.elements.values())), generators
     expected = order_within_budget(pair.h_colored.diagram, budget)
     perms = perm_closure(gen_perms, len(rs.roots), budget=budget)
     if len(perms) != expected:
@@ -695,7 +690,8 @@ def candidate_from_json(obj: dict) -> tuple[DynkinDiagram, FoldingInvolution]:
     """Parse an explicit {"g": diagram, "sigma": [[id, id], ...]} candidate."""
     try:
         diagram = diagram_from_json(obj["g"])
-        pairs = [(str(a), str(b)) for a, b in obj.get("sigma", [])]
+        sigma = obj.get("sigma", [])
+        pairs = [tuple(_as_given(v, str) for v in _as_given(p, list)) for p in sigma]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed candidate object: {exc}") from None
     return diagram, FoldingInvolution.from_pairs(diagram, pairs)

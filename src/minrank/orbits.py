@@ -24,6 +24,7 @@ from .weyl import (
     diagram_data,
     is_coxeter_action,
     is_palindromic,
+    length_histogram,
     order_within_budget,
     poly_mul,
 )
@@ -135,10 +136,7 @@ def closed_orbit(graph: OrbitGraph) -> OrbitVertex:
 
 
 def _dim_histogram(graph: OrbitGraph) -> tuple[int, ...]:
-    coeffs = [0] * (graph.d_g - graph.d_h + 1)
-    for v in graph.vertices:
-        coeffs[v.dim - graph.d_h] += 1
-    return tuple(coeffs)
+    return length_histogram(v.dim - graph.d_h for v in graph.vertices)
 
 
 def orbit_poincare(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

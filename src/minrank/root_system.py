@@ -12,8 +12,10 @@ from functools import cached_property
 
 Root = tuple[int, ...]
 
-# Practical ceiling for full permutation-group enumeration downstream.
+# Largest rank that ``classify`` enumerates.
 DEFAULT_RANK_CAP = 7
+# A root string of a finite-type system has at most four roots (G2).
+_STRING_STEPS = 4
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"A": None, "B": None, "C": None, "D": None, "E": 8, "F": 4, "G": 2}
@@ -235,37 +237,30 @@ def negate(r: Root) -> Root:
 
 
 def string_pairing(
-    root_set: frozenset[Root] | set[Root], beta: Root, alpha: Root, max_steps: int = 4
+    root_set: frozenset[Root] | set[Root], beta: Root, alpha: Root
 ) -> int | None:
     """Pairing <beta, alpha^v> = p - q read off the alpha-string through beta.
 
     Works on any finite set of integer vectors containing beta and alpha;
-    returns None when a string does not break within ``max_steps`` (the set
-    then cannot be a finite-type root system).
+    returns None when a string does not break within ``_STRING_STEPS``
+    (the set then cannot be a finite-type root system).
     """
     if beta == alpha:
         return 2
-    if beta == negate(alpha):
+    down = negate(alpha)
+    if beta == down:
         return -2
-    p = 0
-    cur = beta
-    for _ in range(max_steps):
-        cur = tuple(b - a for b, a in zip(cur, alpha))
-        if cur not in root_set:
-            break
-        p += 1
-    else:
-        return None
-    q = 0
-    cur = beta
-    for _ in range(max_steps):
-        cur = tuple(b + a for b, a in zip(cur, alpha))
-        if cur not in root_set:
-            break
-        q += 1
-    else:
-        return None
-    return p - q
+    steps = []  # p and q: how far the string runs below and above beta
+    for step in (down, alpha):
+        cur = beta
+        for k in range(_STRING_STEPS):
+            cur = tuple(b + a for b, a in zip(cur, step))
+            if cur not in root_set:
+                steps.append(k)
+                break
+        else:
+            return None
+    return steps[0] - steps[1]
 
 
 def pairing(rs: RootSystem, beta: Root, alpha: Root) -> int:
@@ -311,16 +306,26 @@ def diagram_to_json(d: DynkinDiagram) -> dict:
     }
 
 
+def _as_given(x, kind: type):
+    """``x`` when it is a JSON value of ``kind``; a bool is not an int."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError(f"expected {kind.__name__}, got {x!r}")
+    return x
+
+
 def diagram_from_json(obj: dict) -> DynkinDiagram:
+    """Parse a diagram object of rank at least 1, taking every value as given."""
     try:
         d = DynkinDiagram(
             type_label=str(obj["type"]),
-            cartan=tuple(tuple(int(x) for x in row) for row in obj["cartan"]),
-            vertices=tuple(str(v) for v in obj["vertices"]),
+            cartan=tuple(tuple(_as_given(a, int) for a in r) for r in obj["cartan"]),
+            vertices=tuple(_as_given(v, str) for v in obj["vertices"]),
         )
-        rank = int(obj["rank"])
+        rank = _as_given(obj["rank"], int)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram object: {exc}") from None
+    if d.rank < 1:
+        raise ValueError("a diagram needs at least one vertex")
     if rank != d.rank:
         raise ValueError("rank field disagrees with vertex count")
     return d

@@ -10,11 +10,11 @@ group, so its cost grows with the number of cosets, not with |W|.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .root_system import (
-    DEFAULT_RANK_CAP,
     DynkinDiagram,
     RootSystem,
     _reflect_coords,
@@ -76,9 +76,6 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, w: WeylElement) -> bool:
-        return w.key in self.elements
-
     def inverse(self, w: WeylElement) -> WeylElement:
         inv = [0] * len(w.perm)
         for i, j in enumerate(w.perm):
@@ -127,39 +124,21 @@ class DiagramData:
 diagram_data = lru_cache(maxsize=None)(DiagramData)
 
 
-def generate_weyl(
-    rs: RootSystem,
-    budget: int = DEFAULT_BUDGET,
-    rank_cap: int = DEFAULT_RANK_CAP,
-) -> WeylGroup:
+def generate_weyl(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
     Elements are discovered in (length, lex word) order; the stored word is
-    the lex-min reduced word.  Raises BudgetExceededError with the partial
-    count when the group grows past ``budget``.  The group is cached in
-    ``diagram_data``; a cached group still honors a smaller budget by raising.
+    the lex-min reduced word.  |W| is predicted from the parabolic chain
+    first, so a group over ``budget`` raises BudgetExceededError before any
+    element is listed.  The group is cached in ``diagram_data``.
     """
-    if rs.diagram.rank > rank_cap:
-        raise ValueError(
-            f"rank {rs.diagram.rank} exceeds the configured cap {rank_cap}"
-        )
+    order_within_budget(rs.diagram, budget)
     data = diagram_data(rs.diagram)
-    cached = data.group
-    if cached is not None:
-        if cached.order > budget:
-            raise BudgetExceededError(
-                f"Weyl group of {rs.diagram.type_label} exceeds budget "
-                f"{budget} (order {cached.order})",
-                cached.order,
-            )
-        return cached
+    if data.group is not None:
+        return data.group
     gens = reflection_perms(rs)
-    n = len(rs.roots)
-    identity: Perm = tuple(range(n))
-    elements: dict[bytes, WeylElement] = {
-        perm_key(identity): WeylElement(identity, ())
-    }
-    frontier = [WeylElement(identity, ())]
+    frontier = [WeylElement(tuple(range(len(rs.roots))), ())]
+    elements = {frontier[0].key: frontier[0]}
     while frontier:
         new: list[WeylElement] = []
         for w in frontier:
@@ -167,12 +146,6 @@ def generate_weyl(
                 p = compose(w.perm, g)
                 k = perm_key(p)
                 if k not in elements:
-                    if len(elements) >= budget:
-                        raise BudgetExceededError(
-                            f"Weyl group of {rs.diagram.type_label} exceeds "
-                            f"budget {budget} (partial count {len(elements)})",
-                            len(elements),
-                        )
                     el = WeylElement(p, w.word + (i,))
                     elements[k] = el
                     new.append(el)
@@ -182,24 +155,9 @@ def generate_weyl(
     return data.group
 
 
-def length(w: WeylElement) -> int:
-    return len(w.word)
-
-
-def inversion_count(W: WeylGroup, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    rs = W.root_system
-    pos = {rs.root_index[r] for r in rs.positive_roots}
-    return sum(1 for i in pos if w.perm[i] not in pos)
-
-
 def length_poincare(W: WeylGroup) -> tuple[int, ...]:
     """Coefficient k counts elements of length k."""
-    degree = max(len(w.word) for w in W.elements.values())
-    coeffs = [0] * (degree + 1)
-    for w in W.elements.values():
-        coeffs[len(w.word)] += 1
-    return tuple(coeffs)
+    return length_histogram(len(w.word) for w in W.elements.values())
 
 
 # --- polynomial helpers (coefficient tuples, lowest degree first) -----------
@@ -212,6 +170,12 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def length_histogram(lengths) -> tuple[int, ...]:
+    """Coefficient k counts the entries of ``lengths`` equal to k."""
+    counts = Counter(lengths)
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 def is_palindromic(p: tuple[int, ...]) -> bool:
@@ -258,20 +222,6 @@ def perm_closure(
     return list(seen.values())
 
 
-def subgroup_closure(W: WeylGroup, gens: list[WeylElement]) -> Subgroup:
-    """Subgroup generated by ``gens``; membership testable by permutation key."""
-    for g in gens:
-        if g not in W:
-            raise ValueError("generator is not an element of the group")
-    n = len(W.root_system.roots)
-    return Subgroup(W, tuple(perm_closure([g.perm for g in gens], n)))
-
-
-def full_subgroup(W: WeylGroup) -> Subgroup:
-    """The whole group viewed as a subgroup of itself (no closure run)."""
-    return Subgroup(W, tuple(w.perm for w in W.elements.values()))
-
-
 def coset_decomposition(
     W: WeylGroup, W0: Subgroup
 ) -> tuple[list[WeylElement], dict[bytes, int]]:
@@ -297,14 +247,6 @@ def coset_decomposition(
     if len(coset_of) != W.order:
         raise ValueError("subgroup does not partition the group into cosets")
     return reps, coset_of
-
-
-def min_coset_reps(
-    W: WeylGroup, W0: Subgroup
-) -> list[tuple[int, WeylElement, int]]:
-    """One minimal representative per left coset: (coset id, element, length)."""
-    reps, _ = coset_decomposition(W, W0)
-    return [(cid, w, len(w.word)) for cid, w in enumerate(reps)]
 
 
 # --- coset enumeration on the Coxeter presentation ---------------------------
@@ -485,14 +427,6 @@ def coset_words(table: Table) -> list[tuple[int, ...]]:
     return words
 
 
-def _length_histogram(table: Table) -> tuple[int, ...]:
-    lengths = [len(w) for w in coset_words(table)]
-    coeffs = [0] * (max(lengths) + 1)
-    for k in lengths:
-        coeffs[k] += 1
-    return tuple(coeffs)
-
-
 def chain_poincare(rs: RootSystem) -> tuple[int, ...]:
     """Length polynomial P_W of the Weyl group, without enumerating W.
 
@@ -511,7 +445,8 @@ def chain_poincare(rs: RootSystem) -> tuple[int, ...]:
         s = min(remaining, key=lambda v: sum(1 for r in live if r[v]))
         sub = [[cartan[a][b] for b in remaining] for a in remaining]
         words = [(k,) for k, v in enumerate(remaining) if v != s]
-        poly = poly_mul(poly, _length_histogram(coset_table(sub, words)))
+        table = coset_table(sub, words)
+        poly = poly_mul(poly, length_histogram(map(len, coset_words(table))))
         remaining.remove(s)
         live = [r for r in live if r[s] == 0]
     return poly

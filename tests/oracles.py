@@ -33,12 +33,17 @@ def symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
                     stack.append(j)
     for i in range(n):
         for j in range(n):
-            assert d[j] * cartan[i][j] == d[i] * cartan[j][i]
+            if d[j] * cartan[i][j] != d[i] * cartan[j][i]:
+                raise ValueError("cartan matrix is not symmetrizable")
     return tuple(d)
 
 
 def root_closure(cartan: Matrix, bound: int = 300) -> frozenset[tuple[int, ...]]:
-    """All roots, by closing the simples under reflection at every root."""
+    """All roots, by closing the simples under reflection at every root.
+
+    Raises ValueError when a pairing is not an integer or the closure grows
+    past ``bound`` roots.
+    """
     n = len(cartan)
     d = symmetrizer(cartan)
 
@@ -63,12 +68,14 @@ def root_closure(cartan: Matrix, bound: int = 300) -> frozenset[tuple[int, ...]]
             bb = inner(beta, beta)
             for gamma in snapshot:
                 c = 2 * inner(gamma, beta) / bb
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise ValueError(f"pairing {c} is not an integer")
                 new = tuple(gamma[k] - int(c) * beta[k] for k in range(n))
                 if new not in roots:
                     roots.add(new)
                     changed = True
-        assert len(roots) <= bound
+        if len(roots) > bound:
+            raise ValueError(f"closure exceeded {bound} roots")
     return frozenset(roots)
 
 

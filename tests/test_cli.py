@@ -126,6 +126,47 @@ def test_verify_rejected_candidate_exits_1_with_a_report(capsys):
     assert obj["validation"] == {"failed_check": "a", "tag": "nonorthogonal_pair"}
 
 
+def _a3_json():
+    return diagram_to_json(mr.build_dynkin("A", 3))
+
+
+def _with_entry(i, j, value):
+    g = _a3_json()
+    g["cartan"][i][j] = value
+    return {"g": g, "sigma": [["1", "3"]]}
+
+
+def _with_vertices(vertices, sigma):
+    g = _a3_json()
+    g["vertices"] = vertices
+    return {"g": g, "sigma": sigma}
+
+
+COERCED_CANDIDATES = {
+    "float_entry": (_with_entry(0, 0, 2.7), "expected int"),
+    "float_zero": (_with_entry(0, 2, -0.4), "expected int"),
+    "string_entry": (_with_entry(1, 1, "2"), "expected int"),
+    "bool_entry": (_with_entry(0, 2, False), "expected int"),
+    "float_rank": ({"g": {**_a3_json(), "rank": 3.0}, "sigma": []}, "expected int"),
+    "number_vertex_ids": (_with_vertices([1, 2, 3], [["1", "3"]]), "expected str"),
+    "number_sigma_ids": (_with_vertices(["1", "2", "3"], [[1, 3]]), "expected str"),
+    "string_sigma_pair": (_with_vertices(["1", "2", "3"], ["13"]), "expected list"),
+    "rank_0": (
+        {"g": {"type": "A0", "rank": 0, "cartan": [], "vertices": []}, "sigma": []},
+        "at least one vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCED_CANDIDATES))
+def test_explicit_candidate_is_taken_as_given_not_coerced(capsys, case):
+    candidate, message = COERCED_CANDIDATES[case]
+    code, out, err = run_cli(capsys, "verify", "--pair", json.dumps(candidate))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("minrank: malformed candidate JSON:") and message in err
+
+
 def test_verify_malformed_candidate_json(capsys):
     code, _, err = run_cli(capsys, "verify", "--pair", "{not json")
     assert code == 2

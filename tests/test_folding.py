@@ -276,14 +276,6 @@ def test_rank2_table_accepted_rows_carry_the_standard_folds():
     assert rows[6].posited_black == ("1",)
 
 
-def fiber_sizes_along_orbit(pair, W, sub):
-    rho = pair.rho
-    sizes = {}
-    for image, fiber in rho.fibers.items():
-        sizes[image] = len(fiber)
-    return sizes
-
-
 @pytest.mark.parametrize("label", ["A3_C2", "B3_G2", "D4_B3", "A5_C3"])
 def test_fiber_size_is_constant_on_wh_orbits(label, classified6):
     gl, hl = label.split("_")

@@ -97,6 +97,13 @@ def test_root_count_matches_reflection_closure_oracle(letter, rank):
     assert set(rs.roots) == set(oracles.root_closure(rs.diagram.cartan))
 
 
+def test_oracle_root_closure_raises_past_its_bound():
+    cartan = mr.build_dynkin("A", 3).cartan
+    with pytest.raises(ValueError, match="exceeded 5 roots"):
+        oracles.root_closure(cartan, bound=5)
+    assert len(oracles.root_closure(cartan, bound=12)) == 12
+
+
 def test_disjoint_union_concatenates():
     left = mr.build_dynkin("C", 2)
     union = mr.disjoint_union(left, mr.build_dynkin("A", 1))

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minrank as mr
+from minrank import weyl
 from minrank.weyl import (
     BudgetExceededError,
+    Subgroup,
     compose,
     coset_decomposition,
-    full_subgroup,
-    inversion_count,
     is_palindromic,
     perm_closure,
 )
@@ -33,6 +33,25 @@ def group_of(letter, rank):
 
 def sorted_elements(W):
     return sorted(W.elements.values(), key=lambda w: (len(w.word), w.word))
+
+
+def subgroup(W, gens):
+    """Subgroup of W generated by the elements ``gens``."""
+    perms = perm_closure([g.perm for g in gens], len(W.identity.perm))
+    return Subgroup(W, tuple(perms))
+
+
+def min_rep_lengths(W, sub):
+    """Length of each left coset's minimal representative, by coset id."""
+    reps, _ = coset_decomposition(W, sub)
+    return [len(w.word) for w in reps]
+
+
+def inversion_count(W, w):
+    """Number of positive roots sent to negative roots by w."""
+    rs = W.root_system
+    pos = {rs.root_index[r] for r in rs.positive_roots}
+    return sum(1 for i in pos if w.perm[i] not in pos)
 
 
 @pytest.mark.parametrize("letter,rank", SMALL_TYPES + [("D", 5), ("B", 6), ("E", 6)])
@@ -84,7 +103,6 @@ def test_braid_orders_follow_the_cartan_matrix(letter, rank, pairs):
 def test_identity_has_the_empty_word():
     W = group_of("C", 2)
     assert W.identity.word == ()
-    assert mr.length(W.identity) == 0
 
 
 def test_words_are_bfs_minimal_and_lex_first():
@@ -108,22 +126,25 @@ def test_budget_exceeded_raises_with_partial_count():
     rs = mr.build_root_system(mr.build_dynkin("A", 3))
     with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs, budget=5)
-    assert info.value.partial_count >= 5
-    # a cached group reports its true order, not the budget
+    assert info.value.partial_count == 0
+    # a cached group is refused by the same prediction, which names the order
     assert mr.generate_weyl(rs).order == 24
     with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs, budget=5)
-    assert info.value.partial_count == 24
+    assert info.value.partial_count == 0
+    assert "order 24" in str(info.value)
 
 
-def test_rank_cap_rejects_large_diagrams():
+def test_generate_weyl_refuses_e8_before_listing_anything(monkeypatch):
+    def refuse(rs):
+        raise AssertionError("reflection_perms was called")
+
+    monkeypatch.setattr(weyl, "reflection_perms", refuse)
     rs = mr.build_root_system(mr.build_dynkin("E", 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs)
-    small = mr.build_root_system(mr.build_dynkin("A", 3))
-    with pytest.raises(ValueError):
-        mr.generate_weyl(small, rank_cap=2)
-    assert mr.generate_weyl(small, rank_cap=3).order == 24
+    assert info.value.partial_count == 0
+    assert str(oracles.weyl_order("E", 8)) in str(info.value)
 
 
 def test_perm_closure_budget():
@@ -138,7 +159,7 @@ def test_perm_closure_budget():
 def test_subgroup_closure_examples():
     W = group_of("A", 3)
     s1, s2, s3 = W.generators
-    dihedral = mr.subgroup_closure(W, [W.product(s1, s3), s2])
+    dihedral = subgroup(W, [W.product(s1, s3), s2])
     assert dihedral.order == 8
 
     W2 = group_of("A", 1)
@@ -147,32 +168,30 @@ def test_subgroup_closure_examples():
     )
     Wp = mr.generate_weyl(rs_pair)
     t1, t2 = Wp.generators
-    assert mr.subgroup_closure(Wp, [Wp.product(t1, t2)]).order == 2
+    assert subgroup(Wp, [Wp.product(t1, t2)]).order == 2
     assert W2.order == 2
 
 
 def test_full_subgroup_covers_the_group():
     W = group_of("C", 2)
-    sub = full_subgroup(W)
+    sub = subgroup(W, W.generators)
     assert sub.order == W.order
-    reps = mr.min_coset_reps(W, sub)
-    assert [(cid, ln) for cid, _, ln in reps] == [(0, 0)]
+    assert min_rep_lengths(W, sub) == [0]
 
 
 def test_parabolic_coset_lengths_in_a3():
     W = group_of("A", 3)
     s1, s2, _ = W.generators
-    parabolic = mr.subgroup_closure(W, [s1, s2])
+    parabolic = subgroup(W, [s1, s2])
     assert parabolic.order == 6
-    reps = mr.min_coset_reps(W, parabolic)
-    assert sorted(ln for _, _, ln in reps) == [0, 1, 2, 3]
+    assert sorted(min_rep_lengths(W, parabolic)) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_coset_reps_are_minimal_in_every_coset(letter, rank):
     W = group_of(letter, rank)
     gens = list(W.generators)
-    parabolic = mr.subgroup_closure(W, gens[:-1])
+    parabolic = subgroup(W, gens[:-1])
     reps, coset_of = coset_decomposition(W, parabolic)
     assert len(reps) * parabolic.order == W.order
     for w in W.elements.values():
@@ -190,7 +209,7 @@ def test_length_equals_inversion_count(tp, data):
     """len(word) counts the positive roots sent negative."""
     W = group_of(*tp)
     w = data.draw(st.sampled_from(sorted_elements(W)))
-    assert mr.length(w) == inversion_count(W, w)
+    assert len(w.word) == inversion_count(W, w)
 
 
 @given(small_types_st, st.data())
@@ -198,7 +217,7 @@ def test_inverse_preserves_length(tp, data):
     """w and w^{-1} have the same length."""
     W = group_of(*tp)
     w = data.draw(st.sampled_from(sorted_elements(W)))
-    assert mr.length(W.inverse(w)) == mr.length(w)
+    assert len(W.inverse(w).word) == len(w.word)
 
 
 @given(small_types_st, st.data())
