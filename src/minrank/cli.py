@@ -33,8 +33,8 @@ from .orbits import (
     report_to_json,
     verify_pair,
 )
-from .root_system import build_dynkin
-from .weyl import DEFAULT_BUDGET, BudgetExceededError
+from .root_system import DynkinDiagram, _isomorphisms, build_dynkin
+from .weyl import DEFAULT_BUDGET, BudgetExceededError, diagram_data
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -76,6 +76,30 @@ def _build_typed(letter: str, rank: int):
         raise UsageError(str(exc)) from exc
 
 
+def _check_type_field(diagram: DynkinDiagram) -> None:
+    """Raise ValueError unless the k-th "+"-separated part of the type label
+    names the k-th component; B2 and D3 stand for C2 and A3."""
+    parts = diagram.type_label.split("+")
+    comps = diagram.components
+    if len(parts) != len(comps) or not all(
+        _names_block(part, diagram.cartan, comp) for part, comp in zip(parts, comps)
+    ):
+        raise ValueError(f"type {diagram.type_label!r} does not match its Cartan matrix")
+
+
+def _names_block(part: str, cartan, comp: tuple[int, ...]) -> bool:
+    """True when ``part`` is a type like A3 whose standard diagram is
+    isomorphic to the block of ``cartan`` on ``comp``."""
+    m = _TYPE_RE.match(part)
+    if m is None or part != f"{m.group(1)}{len(comp)}":
+        return False
+    try:
+        std = build_dynkin(m.group(1), len(comp)).cartan
+    except ValueError:
+        return False
+    return next(_isomorphisms(std, cartan, comp), None) is not None
+
+
 def _resolve_pair(selector: str, budget: int) -> ValidationReport:
     """Turn a --pair selector into a validation report.
 
@@ -83,8 +107,9 @@ def _resolve_pair(selector: str, budget: int) -> ValidationReport:
     to relabeling; only involutions with as many orbits as the right
     label's rank are validated, so the budget bounds only those.
     "identity:TYPE" and "diag:TYPE" build the trivial and component-swap
-    candidates; a string starting with "{" is an explicit candidate JSON.
-    Only the explicit forms can return a failing report.
+    candidates; a string starting with "{" is an explicit candidate JSON,
+    whose g must be of finite type and named by its "type" field.  Only
+    the explicit forms can return a failing report.
     """
     s = selector.strip()
     if s.startswith("{"):
@@ -93,8 +118,10 @@ def _resolve_pair(selector: str, budget: int) -> ValidationReport:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed candidate JSON: {exc}") from exc
         try:
+            diagram_data(diagram).root_system  # g is of finite type, or raises
+            _check_type_field(diagram)
             return validate_candidate(diagram, sigma, budget=budget)
-        except ValueError as exc:  # the root closure of g did not close
+        except ValueError as exc:
             raise UsageError(f"candidate diagram g: {exc}") from exc
     if s.startswith("identity:"):
         letter, rank = _parse_type(s[len("identity:"):])

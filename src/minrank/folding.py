@@ -11,6 +11,7 @@ lookup table: some valid foldings are not diagram automorphisms.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .root_system import (
@@ -26,9 +27,9 @@ from .root_system import (
     identify_component,
     string_pairing,
     _as_given,
-    _basis,
     _identification_candidates,
     _reflect_coords,
+    _STRING_STEPS,
 )
 from .weyl import (
     DEFAULT_BUDGET,
@@ -227,6 +228,11 @@ def _family_name(
     return _FOLD_FAMILIES.get((gl, gr, hl, hr), f"{gl}{gr}_{hl}{hr}")
 
 
+def _getter(indices: list[int]):
+    """``operator.itemgetter(*indices)``, returning a tuple for one index too."""
+    return operator.itemgetter(*indices) if len(indices) > 1 else lambda r: (r[indices[0]],)
+
+
 def restriction_map(
     g_diagram: DynkinDiagram, sigma: FoldingInvolution
 ) -> RestrictionData:
@@ -245,9 +251,14 @@ def restriction_map(
                 "a", "nonorthogonal_pair", f"vertices {i} and {j} are not orthogonal"
             )
     orbits = sigma.orbits
+    # image coordinate k is r[first[k]] + r[second[k]]; a fixed point's
+    # second index reads the zero padded onto r
+    first = _getter([orbit[0] for orbit in orbits])
+    second = _getter([orbit[1] if len(orbit) == 2 else g_diagram.rank for orbit in orbits])
     fibers: dict[Root, list[Root]] = {}
     for r in rs.roots:
-        img = tuple(sum(r[j] for j in orbit) for orbit in orbits)
+        padded = r + (0,)
+        img = tuple(map(operator.add, first(padded), second(padded)))
         fibers.setdefault(img, []).append(r)
     for img, fiber in fibers.items():
         if len(fiber) > 2:
@@ -268,6 +279,18 @@ def restriction_map(
     )
 
 
+def _basis_pairing(image_set: frozenset[Root], m: int, i: int, j: int) -> int | None:
+    """``string_pairing(image_set, e_i, e_j)`` for i != j.  Image roots are
+    sign-coherent, so e_i - e_j is not one and the string starts at e_i."""
+    root = [0] * m
+    root[i] = 1
+    for k in range(_STRING_STEPS):
+        root[j] = k + 1
+        if tuple(root) not in image_set:
+            return -k
+    return None
+
+
 def _folded_presentation(
     rho: RestrictionData,
 ) -> tuple[ColoredDynkin, tuple[tuple[int, ...], ...], TypedComponents]:
@@ -282,10 +305,7 @@ def _folded_presentation(
     m = len(rho.orbits)
     image_set = rho.image_set
     cartan_h = tuple(
-        tuple(
-            2 if i == j else string_pairing(image_set, _basis(m, i), _basis(m, j))
-            for j in range(m)
-        )
+        tuple(2 if i == j else _basis_pairing(image_set, m, i, j) for j in range(m))
         for i in range(m)
     )
     try:  # the pairings must form a Cartan matrix

@@ -96,8 +96,15 @@ def build_dynkin(type_label: str, rank: int) -> DynkinDiagram:
     lo, hi = _MIN_RANK[letter], _MAX_RANK[letter]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError(f"invalid rank {rank} for type {letter}")
+    return DynkinDiagram(
+        type_label=f"{letter}{rank}",
+        cartan=_standard_cartan(letter, rank),
+        vertices=tuple(str(i + 1) for i in range(rank)),
+    )
 
-    n = rank
+
+def _standard_cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Bourbaki Cartan matrix of type ``letter`` and rank ``n``, unchecked."""
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
@@ -128,12 +135,7 @@ def build_dynkin(type_label: str, rank: int) -> DynkinDiagram:
         bond(2, 3)
     elif letter == "G":
         bond(0, 1, -1, -3)  # alpha_1 short
-
-    return DynkinDiagram(
-        type_label=f"{letter}{rank}",
-        cartan=tuple(tuple(row) for row in a),
-        vertices=tuple(str(i + 1) for i in range(n)),
-    )
+    return tuple(tuple(row) for row in a)
 
 
 def disjoint_union(d1: DynkinDiagram, d2: DynkinDiagram) -> DynkinDiagram:
@@ -389,15 +391,29 @@ def _isomorphisms(std, cartan, indices: tuple[int, ...]):
     yield from extend(0)
 
 
+def _bond_invariant(cartan, indices) -> list:
+    """Sorted multiset, over the vertices, of each vertex's sorted
+    (a_ab, a_ba) pairs to its neighbours b; unchanged by relabeling."""
+    return sorted(
+        sorted((cartan[a][b], cartan[b][a]) for b in indices if b != a and cartan[a][b])
+        for a in indices
+    )
+
+
 def identify_component(cartan, indices: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]] | None:
     """Match one connected Cartan block against the standard finite types.
 
     Returns (letter, rank, perm) where perm[k] is the index (into
     ``indices``) realizing standard vertex k, lexicographically smallest
-    among the isomorphisms; None when no finite type matches.
+    among the isomorphisms; None when no finite type matches.  A type
+    whose bond invariant differs from the block's has no isomorphism onto
+    it, so it is skipped before the search.
     """
+    invariant = _bond_invariant(cartan, indices)
     for letter, rank in _identification_candidates(len(indices)):
-        std = build_dynkin(letter, rank).cartan
+        std = _standard_cartan(letter, rank)
+        if _bond_invariant(std, range(rank)) != invariant:
+            continue
         perm = next(_isomorphisms(std, cartan, indices), None)
         if perm is not None:
             return letter, rank, perm

@@ -398,6 +398,53 @@ def test_candidate_not_of_finite_type_is_a_usage_error(capsys, command, g):
     assert "not of finite type" in err
 
 
+def labelled(diagram, label, sigma):
+    g = diagram_to_json(diagram)
+    g["type"] = label
+    return json.dumps({"g": g, "sigma": sigma})
+
+
+C2_A1 = mr.disjoint_union(mr.build_dynkin("C", 2), mr.build_dynkin("A", 1))
+
+
+@pytest.mark.parametrize(
+    "diagram, label, sigma, code",
+    [
+        (mr.build_dynkin("A", 3), "E8", [["1", "3"]], 2),
+        (mr.build_dynkin("A", 3), "E8", [["1", "2"]], 2),
+        (mr.build_dynkin("A", 3), "A3+A1", [], 2),
+        (C2_A1, "A1+C2", [], 2),
+        (mr.build_dynkin("B", 2), "G2", [], 2),
+        (mr.build_dynkin("A", 3), "A03", [], 2),
+        (mr.build_dynkin("A", 3), "D3", [["1", "3"]], 0),
+        (mr.build_dynkin("D", 3), "A3", [], 0),
+        (mr.build_dynkin("C", 2), "B2", [], 0),
+        (C2_A1, "B2+A1", [], 0),
+    ],
+    ids=[
+        "A3_as_E8", "rejected_A3_as_E8", "A3_as_A3+A1", "C2+A1_as_A1+C2",
+        "B2_as_G2", "A3_as_A03", "A3_as_D3", "D3_as_A3", "C2_as_B2", "C2+A1_as_B2+A1",
+    ],
+)
+def test_type_field_must_name_each_component_in_order(
+    capsys, diagram, label, sigma, code
+):
+    """Each "+"-part of "type" must build a diagram isomorphic to the
+    component in its place; B2 and D3 stay accepted as C2 and A3."""
+    got, out, err = run_cli(
+        capsys, "verify", "--pair", labelled(diagram, label, sigma), "--format", "text"
+    )
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == (
+            f"minrank: candidate diagram g: type {label!r} does not match "
+            "its Cartan matrix\n"
+        )
+    else:
+        assert out.startswith(f"pair {label} -> ")
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_budget_flag_below_one_is_a_usage_error(capsys, value):
     code, out, err = run_cli(capsys, "classify", "--max-rank", "2", "--budget", value)

@@ -9,13 +9,14 @@ from hypothesis import given, strategies as st
 import minrank as mr
 from minrank.folding import (
     _CheckFailed,
+    _basis_pairing,
     _canonical_key,
     _generator_perm,
     _order_is_known,
     _orthogonal_involutions,
     candidate_from_json,
 )
-from minrank.root_system import _identification_candidates
+from minrank.root_system import _identification_candidates, string_pairing
 from minrank.weyl import compose, perm_closure
 
 import oracles
@@ -409,6 +410,80 @@ def fold_candidates():
     ]
     candidates = [(g, s) for g in diagrams for s in _orthogonal_involutions(g)]
     return candidates + [(row.g, row.sigma) for row in mr.rank2_table()]
+
+
+def sum_per_orbit_restriction(g, sigma):
+    """Reference for restriction_map: one ``sum`` per orbit per root, then
+    the same checks in the same order, as (orbits, image roots, fibers)."""
+    rs = mr.build_root_system(g)
+    for i, j in sigma.two_cycles:
+        if g.cartan[i][j] != 0:
+            raise _CheckFailed(
+                "a", "nonorthogonal_pair", f"vertices {i} and {j} are not orthogonal"
+            )
+    orbits = sigma.orbits
+    fibers = {}
+    for r in rs.roots:
+        img = tuple(sum(r[j] for j in orbit) for orbit in orbits)
+        fibers.setdefault(img, []).append(r)
+    for img, fiber in fibers.items():
+        if len(fiber) > 2:
+            raise _CheckFailed(
+                "b", "fiber_size_3", f"fiber over {img} has {len(fiber)} elements"
+            )
+        if len(fiber) == 2 and not (
+            string_pairing(rs.root_set, fiber[0], fiber[1]) == 0
+            and string_pairing(rs.root_set, fiber[1], fiber[0]) == 0
+        ):
+            raise _CheckFailed(
+                "b", "nonorthogonal_fiber", f"the roots over {img} are not orthogonal"
+            )
+    return orbits, tuple(sorted(fibers)), [(k, tuple(f)) for k, f in fibers.items()]
+
+
+def restriction_or_failure(restrict, g, sigma):
+    try:
+        return restrict(g, sigma)
+    except _CheckFailed as exc:
+        return exc.check, exc.tag, str(exc)
+
+
+def test_restriction_map_agrees_with_the_sum_per_orbit_projection():
+    """Same orbits, image roots and fibers, in content and insertion order,
+    or the same (check, tag, message), on every candidate of fold_candidates,
+    rank 1 and the single-orbit folds of A1 and A1+A1 among them."""
+
+    def restrict(g, sigma):
+        rho = mr.restriction_map(g, sigma)
+        return rho.orbits, rho.image_roots, list(rho.fibers.items())
+
+    single_orbit = 0
+    for g, sigma in fold_candidates():
+        got = restriction_or_failure(restrict, g, sigma)
+        assert got == restriction_or_failure(sum_per_orbit_restriction, g, sigma), (
+            g.type_label, sigma.mapping
+        )
+        single_orbit += len(sigma.orbits) == 1
+    assert single_orbit >= 2
+
+
+def test_basis_pairing_agrees_with_the_root_string():
+    """Check (c)'s folded Cartan entries equal string_pairing on the basis
+    directions of every image that passes checks (a) and (b)."""
+    images = 0
+    for g, sigma in fold_candidates():
+        try:
+            image_set = mr.restriction_map(g, sigma).image_set
+        except _CheckFailed:
+            continue
+        m = len(sigma.orbits)
+        basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+        for i, j in itertools.permutations(range(m), 2):
+            assert _basis_pairing(image_set, m, i, j) == string_pairing(
+                image_set, basis[i], basis[j]
+            ), (g.type_label, sigma.mapping, i, j)
+        images += 1
+    assert images >= 1300
 
 
 def test_fiber_sizes_and_simple_preimages_hold_past_check_c():

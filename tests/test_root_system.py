@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import minrank as mr
 from minrank.root_system import (
+    _bond_invariant,
     _identification_candidates,
     diagram_from_json,
     diagram_to_json,
@@ -212,28 +214,55 @@ def identify_by_permutations(cartan, indices):
     return None
 
 
-TYPES_UP_TO_7 = CONNECTED_TYPES + [
+TYPES_UP_TO_8 = CONNECTED_TYPES + [
     ("A", 7), ("B", 7), ("C", 7), ("D", 7), ("E", 7),
+    ("A", 8), ("B", 8), ("C", 8), ("D", 8), ("E", 8),
 ]
 
 
-@given(st.sampled_from(TYPES_UP_TO_7), st.data())
-def test_identify_component_agrees_with_the_permutation_search(tp, data):
+def place_blocks(n, *placed):
+    """An n x n Cartan matrix holding each (std, slots) block, with standard
+    vertex i of std at index slots[i]."""
+    cartan = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
+    for std, slots in placed:
+        for i in range(len(std)):
+            for j in range(len(std)):
+                cartan[slots[i]][slots[j]] = std[i][j]
+    return tuple(map(tuple, cartan))
+
+
+@given(st.sampled_from(TYPES_UP_TO_8), st.integers(0, 2), st.integers(0, 2**32))
+@example(("A", 8), 0, 1)
+@example(("D", 8), 1, 2)
+@example(("E", 8), 2, 3)
+def test_identify_component_agrees_with_the_permutation_search(tp, extra, seed):
     """A relabeled standard block, placed at scattered indices of a larger
     matrix, gets the same (letter, rank, perm) as the exhaustive search."""
     std = mr.build_dynkin(*tp).cartan
-    r = len(std)
-    n = r + data.draw(st.integers(0, 2))
-    slots = data.draw(st.permutations(range(n)))[:r]
-    cartan = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-    for i in range(r):
-        for j in range(r):
-            cartan[slots[i]][slots[j]] = std[i][j]
+    n = len(std) + extra
+    slots = random.Random(seed).sample(range(n), len(std))
+    cartan = place_blocks(n, (std, slots))
     indices = tuple(sorted(slots))
-    cartan = tuple(map(tuple, cartan))
     hit = identify_component(cartan, indices)
     assert hit == identify_by_permutations(cartan, indices)
     assert hit[:2] == tp
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_identify_component_tells_d_from_e_with_the_same_bond_invariant(rank):
+    """D_n and E_n are simply laced with one branch vertex, so they share the
+    bond invariant; a matrix holding one of each, relabeled, still gets each
+    block's own type and lex-min perm."""
+    d, e = mr.build_dynkin("D", rank).cartan, mr.build_dynkin("E", rank).cartan
+    slots = random.Random(rank).sample(range(2 * rank), 2 * rank)
+    d_slots, e_slots = slots[:rank], slots[rank:]
+    cartan = place_blocks(2 * rank, (d, d_slots), (e, e_slots))
+    d_idx, e_idx = tuple(sorted(d_slots)), tuple(sorted(e_slots))
+    assert _bond_invariant(cartan, d_idx) == _bond_invariant(cartan, e_idx)
+    for letter, indices in (("D", d_idx), ("E", e_idx)):
+        hit = identify_component(cartan, indices)
+        assert hit[:2] == (letter, rank)
+        assert hit == identify_by_permutations(cartan, indices)
 
 
 AFFINE_BLOCKS = {
