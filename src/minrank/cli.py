@@ -17,6 +17,7 @@ from .folding import (
     FoldingInvolution,
     ValidationReport,
     _canonical_key,
+    _may_fold_onto,
     _orthogonal_involutions,
     candidate_from_json,
     classification_to_json,
@@ -104,8 +105,9 @@ def _resolve_pair(selector: str, budget: int) -> ValidationReport:
     """Turn a --pair selector into a validation report.
 
     Family keys ("A3_C2") must resolve to exactly one nontrivial fold up
-    to relabeling; only involutions with as many orbits as the right
-    label's rank are validated, so the budget bounds only those.
+    to relabeling.  Only the involutions with as many orbits as the right
+    label's rank whose positive roots may fold onto its diagram
+    (``_may_fold_onto``) are validated, so the budget bounds only those.
     "identity:TYPE" and "diag:TYPE" build the trivial and component-swap
     candidates; a string starting with "{" is an explicit candidate JSON,
     whose g must be of finite type and named by its "type" field.  Only
@@ -137,16 +139,26 @@ def _resolve_pair(selector: str, budget: int) -> ValidationReport:
         g_letter, g_rank = _parse_type(g_part)
         h_letter, h_rank = _parse_type(h_part)
         diagram = _build_typed(g_letter, g_rank)
+        # the folded diagram has one vertex per orbit of sigma, so a fold
+        # onto h has rank(g) - rank(h) 2-cycles; a label that build_dynkin
+        # refuses matches nothing
+        cycles = g_rank - h_rank
+        try:
+            target = build_dynkin(h_letter, h_rank) if cycles > 0 else None
+        except ValueError:
+            target = None
+        involutions = (
+            [] if target is None else _orthogonal_involutions(diagram, cycles)
+        )
         hits: list[ValidationReport] = []
-        for sigma in _orthogonal_involutions(diagram):
-            # the folded diagram has one vertex per orbit of sigma
-            if sigma.is_identity or len(sigma.orbits) != h_rank:
+        for sigma in involutions:
+            if not _may_fold_onto(diagram, sigma, target):
                 continue
             report = validate_candidate(diagram, sigma, budget=budget)
             if (
                 report.ok
                 and report.pair is not None
-                and report.pair.h_colored.diagram.type_label == f"{h_letter}{h_rank}"
+                and report.pair.h_colored.diagram.type_label == target.type_label
             ):
                 hits.append(report)
         if not hits:

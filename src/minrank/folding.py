@@ -27,7 +27,9 @@ from .root_system import (
     identify_component,
     string_pairing,
     _as_given,
+    _bond_invariant,
     _identification_candidates,
+    _isomorphisms,
     _reflect_coords,
     _STRING_STEPS,
 )
@@ -233,6 +235,22 @@ def _getter(indices: list[int]):
     return operator.itemgetter(*indices) if len(indices) > 1 else lambda r: (r[indices[0]],)
 
 
+def _projection(sigma: FoldingInvolution, roots) -> list[Root]:
+    """The image of each root along the orbits of ``sigma``, in order:
+    coordinate k sums the root's coordinates over orbit k."""
+    orbits = sigma.orbits
+    # image coordinate k is r[first[k]] + r[second[k]]; a fixed point's
+    # second index reads the zero padded onto r
+    pad = len(sigma.mapping)
+    first = _getter([orbit[0] for orbit in orbits])
+    second = _getter([orbit[1] if len(orbit) == 2 else pad for orbit in orbits])
+    return [
+        tuple(map(operator.add, first(p), second(p)))
+        for r in roots
+        for p in [r + (0,)]
+    ]
+
+
 def restriction_map(
     g_diagram: DynkinDiagram, sigma: FoldingInvolution
 ) -> RestrictionData:
@@ -250,15 +268,8 @@ def restriction_map(
             raise _CheckFailed(
                 "a", "nonorthogonal_pair", f"vertices {i} and {j} are not orthogonal"
             )
-    orbits = sigma.orbits
-    # image coordinate k is r[first[k]] + r[second[k]]; a fixed point's
-    # second index reads the zero padded onto r
-    first = _getter([orbit[0] for orbit in orbits])
-    second = _getter([orbit[1] if len(orbit) == 2 else g_diagram.rank for orbit in orbits])
     fibers: dict[Root, list[Root]] = {}
-    for r in rs.roots:
-        padded = r + (0,)
-        img = tuple(map(operator.add, first(padded), second(padded)))
+    for img, r in zip(_projection(sigma, rs.roots), rs.roots):
         fibers.setdefault(img, []).append(r)
     for img, fiber in fibers.items():
         if len(fiber) > 2:
@@ -273,7 +284,7 @@ def restriction_map(
                 "b", "nonorthogonal_fiber", f"the roots over {img} are not orthogonal"
             )
     return RestrictionData(
-        orbits=orbits,
+        orbits=sigma.orbits,
         image_roots=tuple(sorted(fibers)),
         fibers={img: tuple(f) for img, f in fibers.items()},
     )
@@ -291,6 +302,15 @@ def _basis_pairing(image_set: frozenset[Root], m: int, i: int, j: int) -> int | 
     return None
 
 
+def _folded_cartan(image_set, m: int) -> tuple[tuple[int | None, ...], ...]:
+    """The folded Cartan matrix read off root strings in an image of rank
+    m; None where a string through a basis vector does not break."""
+    return tuple(
+        tuple(2 if i == j else _basis_pairing(image_set, m, i, j) for j in range(m))
+        for i in range(m)
+    )
+
+
 def _folded_presentation(
     rho: RestrictionData,
 ) -> tuple[ColoredDynkin, tuple[tuple[int, ...], ...], TypedComponents]:
@@ -304,10 +324,7 @@ def _folded_presentation(
     """
     m = len(rho.orbits)
     image_set = rho.image_set
-    cartan_h = tuple(
-        tuple(2 if i == j else _basis_pairing(image_set, m, i, j) for j in range(m))
-        for i in range(m)
-    )
+    cartan_h = _folded_cartan(image_set, m)
     try:  # the pairings must form a Cartan matrix
         DynkinDiagram("", cartan_h, tuple(map(str, range(m))))
     except ValueError as exc:
@@ -347,6 +364,33 @@ def folded_simple_system(rho: RestrictionData) -> ColoredDynkin:
     Raises ValueError when the image is not a root system (check c).
     """
     return _folded_presentation(rho)[0]
+
+
+def _may_fold_onto(
+    g_diagram: DynkinDiagram, sigma: FoldingInvolution, target: DynkinDiagram
+) -> bool:
+    """False when ``sigma`` cannot validate with a folded diagram of
+    ``target``'s type: the positive roots of g project onto a number of
+    images other than |positive roots of target|, or the folded Cartan
+    matrix read off those images is not isomorphic to ``target.cartan``.
+
+    Exact: check (c) reads the folded matrix only at e_i + k e_j with
+    k >= 1, positive vectors, and roots are sign-coherent, so only positive
+    roots project onto them.  An accepted fold's image is the root set of
+    its folded matrix, so the positive images are its positive roots, and
+    its type label means that matrix is isomorphic to the standard one.
+    """
+    rs = diagram_data(g_diagram).root_system
+    positive = frozenset(_projection(sigma, rs.positive_roots))
+    if len(positive) != len(diagram_data(target).root_system.positive_roots):
+        return False
+    m = len(sigma.orbits)
+    cartan = _folded_cartan(positive, m)
+    if any(None in row for row in cartan) or _bond_invariant(
+        cartan, range(m)
+    ) != _bond_invariant(target.cartan, range(target.rank)):
+        return False
+    return next(_isomorphisms(target.cartan, cartan, tuple(range(m))), None) is not None
 
 
 def _apply_word(cartan, word: tuple[int, ...], root: Root) -> Root:
@@ -460,19 +504,27 @@ def embed_weyl(
 # --- classification -----------------------------------------------------------
 
 
-def _orthogonal_involutions(diagram: DynkinDiagram) -> list[FoldingInvolution]:
-    """All involutions whose 2-cycles join orthogonal vertices, identity first."""
+def _orthogonal_involutions(
+    diagram: DynkinDiagram, cycles: int | None = None
+) -> list[FoldingInvolution]:
+    """All involutions whose 2-cycles join orthogonal vertices, identity
+    first; when ``cycles`` is given, only those with exactly that many
+    2-cycles, in the same order."""
     n = diagram.rank
     cartan = diagram.cartan
     out: list[FoldingInvolution] = []
 
     def rec(remaining: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> None:
-        if not remaining:
-            mapping = list(range(n))
-            for i, j in pairs:
-                mapping[i], mapping[j] = j, i
-            out.append(FoldingInvolution(tuple(mapping)))
+        if len(pairs) == cycles or not remaining:
+            # the remaining vertices are fixed points
+            if cycles in (None, len(pairs)):
+                mapping = list(range(n))
+                for i, j in pairs:
+                    mapping[i], mapping[j] = j, i
+                out.append(FoldingInvolution(tuple(mapping)))
             return
+        if cycles is not None and cycles - len(pairs) > len(remaining) // 2:
+            return  # too few vertices left for the missing 2-cycles
         i, rest = remaining[0], remaining[1:]
         rec(rest, pairs)
         for j in rest:

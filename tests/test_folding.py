@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minrank as mr
+from minrank import folding
 from minrank.folding import (
     _CheckFailed,
     _basis_pairing,
     _canonical_key,
     _generator_perm,
+    _may_fold_onto,
     _order_is_known,
     _orthogonal_involutions,
+    _projection,
     candidate_from_json,
 )
 from minrank.root_system import _identification_candidates, string_pairing
@@ -505,6 +508,82 @@ def test_fiber_sizes_and_simple_preimages_hold_past_check_c():
         assert preimage == set(rs.simple_roots), (g.type_label, sigma.mapping)
         reached += 1
     assert reached >= 250
+
+
+def test_orthogonal_involutions_with_k_cycles_filter_the_full_list():
+    """The k-cycle listing is the full list's subsequence with exactly k
+    2-cycles, in the same order, on every connected type of rank <= 8."""
+    for rank in range(1, 9):
+        for letter, r in _identification_candidates(rank):
+            diagram = mr.build_dynkin(letter, r)
+            full = _orthogonal_involutions(diagram)
+            for k in range(-1, rank // 2 + 2):
+                assert _orthogonal_involutions(diagram, k) == [
+                    s for s in full if len(s.two_cycles) == k
+                ], (diagram.type_label, k)
+
+
+def filter_candidates():
+    """Every orthogonal involution on the connected diagrams of rank <= 7
+    and on the ordered unions of two of them of ambient rank <= 6."""
+    connected = [
+        mr.build_dynkin(letter, r)
+        for rank in range(1, 8)
+        for letter, r in _identification_candidates(rank)
+    ]
+    small = [d for d in connected if d.rank <= 6]
+    diagrams = connected + [
+        mr.disjoint_union(d1, d2)
+        for d1 in small
+        for d2 in small
+        if d1.rank + d2.rank <= 6
+    ]
+    return [(g, s) for g in diagrams for s in _orthogonal_involutions(g)]
+
+
+def test_may_fold_onto_keeps_every_fold_that_validates_with_its_label(monkeypatch):
+    """On every candidate of filter_candidates, against every standard type
+    of its orbit count: a fold that validates with label Y may fold onto
+    Y, and wherever check (c) is reached, the matrix read off the positive
+    images equals the one check (c) reads, and both are the root-string
+    pairings of the image."""
+    read = []
+    real = folding._folded_cartan
+
+    def recorded(image_set, m):
+        read.append((image_set, real(image_set, m)))
+        return read[-1][1]
+
+    monkeypatch.setattr(folding, "_folded_cartan", recorded)
+    candidates = filter_candidates()
+    accepted = reached = tried = kept = 0
+    for g, sigma in candidates:
+        read.clear()
+        report = mr.validate_candidate(g, sigma)
+        m = len(sigma.orbits)
+        if read:
+            (image_set, presented), = read
+            basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+            strings = tuple(
+                tuple(string_pairing(image_set, basis[i], basis[j]) for j in range(m))
+                for i in range(m)
+            )
+            positive = frozenset(
+                _projection(sigma, mr.build_root_system(g).positive_roots)
+            )
+            assert real(positive, m) == presented == strings, (
+                g.type_label, sigma.mapping
+            )
+            reached += 1
+        label = report.pair.h_colored.diagram.type_label if report.ok else None
+        for letter, rank in _identification_candidates(m):
+            may = _may_fold_onto(g, sigma, mr.build_dynkin(letter, rank))
+            assert may or label != f"{letter}{rank}", (g.type_label, sigma.mapping)
+            tried += 1
+            kept += may
+        accepted += report.ok
+    assert (len(candidates), accepted, reached) == (3389, 203, 2565)
+    assert (tried, kept) == (14707, 304)
 
 
 def relabeled_swaps():
