@@ -19,6 +19,7 @@ from .folding import (
     _canonical_key,
     _may_fold_onto,
     _orthogonal_involutions,
+    _typed_components,
     candidate_from_json,
     classification_to_json,
     classify,
@@ -34,7 +35,7 @@ from .orbits import (
     report_to_json,
     verify_pair,
 )
-from .root_system import DynkinDiagram, _isomorphisms, build_dynkin
+from .root_system import DynkinDiagram, build_dynkin
 from .weyl import DEFAULT_BUDGET, BudgetExceededError, diagram_data
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -77,28 +78,18 @@ def _build_typed(letter: str, rank: int):
         raise UsageError(str(exc)) from exc
 
 
+# labels that build_dynkin accepts for a type identified under another name
+_ALIASES = {"B2": "C2", "D3": "A3"}
+
+
 def _check_type_field(diagram: DynkinDiagram) -> None:
     """Raise ValueError unless the k-th "+"-separated part of the type label
     names the k-th component; B2 and D3 stand for C2 and A3."""
-    parts = diagram.type_label.split("+")
-    comps = diagram.components
-    if len(parts) != len(comps) or not all(
-        _names_block(part, diagram.cartan, comp) for part, comp in zip(parts, comps)
-    ):
+    typed = _typed_components(diagram.cartan) or []
+    if [_ALIASES.get(part, part) for part in diagram.type_label.split("+")] != [
+        f"{letter}{rank}" for letter, rank, _ in typed
+    ]:
         raise ValueError(f"type {diagram.type_label!r} does not match its Cartan matrix")
-
-
-def _names_block(part: str, cartan, comp: tuple[int, ...]) -> bool:
-    """True when ``part`` is a type like A3 whose standard diagram is
-    isomorphic to the block of ``cartan`` on ``comp``."""
-    m = _TYPE_RE.match(part)
-    if m is None or part != f"{m.group(1)}{len(comp)}":
-        return False
-    try:
-        std = build_dynkin(m.group(1), len(comp)).cartan
-    except ValueError:
-        return False
-    return next(_isomorphisms(std, cartan, comp), None) is not None
 
 
 def _resolve_pair(selector: str, budget: int) -> ValidationReport:

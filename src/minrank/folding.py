@@ -35,6 +35,7 @@ from .root_system import (
 )
 from .weyl import (
     DEFAULT_BUDGET,
+    Table,
     WeylElement,
     WeylGroup,
     Subgroup,
@@ -111,7 +112,7 @@ class RestrictionData:
     fibers: dict[Root, tuple[Root, ...]]
 
     def project(self, root: Root) -> Root:
-        return tuple(sum(root[j] for j in orbit) for orbit in self.orbits)
+        return _projection(self.orbits, [root])[0]
 
     @property
     def image_set(self) -> frozenset[Root]:
@@ -132,6 +133,9 @@ class MinimalRankPair:
 
     ``wh_generators[k]`` lists the ambient simple-root indices whose
     commuting product realizes the k-th folded simple reflection.
+    ``cosets`` is the coset table of W(g) over the subgroup they generate,
+    as built to certify the embedding order; None when that order is
+    known without a table (``_order_is_known``).
     """
 
     g_diagram: DynkinDiagram
@@ -140,6 +144,7 @@ class MinimalRankPair:
     rho: RestrictionData
     wh_generators: tuple[tuple[int, ...], ...]
     family: str
+    cosets: Table | None = None
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,12 @@ def _getter(indices: list[int]):
     return operator.itemgetter(*indices) if len(indices) > 1 else lambda r: (r[indices[0]],)
 
 
-def _projection(sigma: FoldingInvolution, roots) -> list[Root]:
-    """The image of each root along the orbits of ``sigma``, in order:
-    coordinate k sums the root's coordinates over orbit k."""
-    orbits = sigma.orbits
+def _projection(orbits: tuple[tuple[int, ...], ...], roots) -> list[Root]:
+    """The image of each root along ``orbits``, in order: coordinate k
+    sums the root's coordinates over orbit k."""
     # image coordinate k is r[first[k]] + r[second[k]]; a fixed point's
     # second index reads the zero padded onto r
-    pad = len(sigma.mapping)
+    pad = sum(map(len, orbits))
     first = _getter([orbit[0] for orbit in orbits])
     second = _getter([orbit[1] if len(orbit) == 2 else pad for orbit in orbits])
     return [
@@ -269,7 +273,7 @@ def restriction_map(
                 "a", "nonorthogonal_pair", f"vertices {i} and {j} are not orthogonal"
             )
     fibers: dict[Root, list[Root]] = {}
-    for img, r in zip(_projection(sigma, rs.roots), rs.roots):
+    for img, r in zip(_projection(sigma.orbits, rs.roots), rs.roots):
         fibers.setdefault(img, []).append(r)
     for img, fiber in fibers.items():
         if len(fiber) > 2:
@@ -381,7 +385,7 @@ def _may_fold_onto(
     its type label means that matrix is isomorphic to the standard one.
     """
     rs = diagram_data(g_diagram).root_system
-    positive = frozenset(_projection(sigma, rs.positive_roots))
+    positive = frozenset(_projection(sigma.orbits, rs.positive_roots))
     if len(positive) != len(diagram_data(target).root_system.positive_roots):
         return False
     m = len(sigma.orbits)
@@ -428,24 +432,25 @@ def validate_candidate(
         # (e) embedded generators must map every 2-fiber into a single fiber
         for word in wh_generators:
             for img, fiber in rho.fibers.items():
-                if len(fiber) == 2 and len(
-                    {rho.project(_apply_word(cartan, word, r)) for r in fiber}
-                ) != 1:
+                if len(fiber) == 2 and len(set(_projection(
+                    rho.orbits, [_apply_word(cartan, word, r) for r in fiber]
+                ))) != 1:
                     raise _CheckFailed(
                         "e", "wh_stability", f"word {word} splits the fiber over {img}"
                     )
 
         # embedded subgroup must realize the abstract folded Weyl group: the
         # folded words generate a subgroup of order |W(g)| / index, the index
-        # read off their coset table.
+        # read off their coset table, which the orbit graph then reuses.
+        cosets = None
         if not _order_is_known(g_diagram, sigma):
             expected = order_within_budget(h_colored.diagram, budget)
-            index = len(coset_table(cartan, wh_generators, budget=budget))
-            if index * expected != sum(diagram_data(g_diagram).poincare):
+            cosets = coset_table(cartan, wh_generators, budget=budget)
+            if len(cosets) * expected != sum(diagram_data(g_diagram).poincare):
                 raise _CheckFailed(
                     "embed",
                     "embedding_order",
-                    f"embedded subgroup has index {index}, |W(h)| = {expected}",
+                    f"embedded subgroup has index {len(cosets)}, |W(h)| = {expected}",
                 )
     except _CheckFailed as exc:
         return ValidationReport(ok=False, failed_check=exc.check, tag=exc.tag)
@@ -462,6 +467,7 @@ def validate_candidate(
         rho=rho,
         wh_generators=wh_generators,
         family=_family_name(g_diagram, sigma, h_components, diagonal),
+        cosets=cosets,
     )
     return ValidationReport(ok=True, tags=tags, pair=pair)
 

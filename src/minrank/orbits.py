@@ -61,17 +61,18 @@ class OrbitGraph:
 
 
 def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGraph:
-    """Enumerate the cosets of the embedded folded group and grade them.
+    """Grade the cosets of the embedded folded group into the orbit graph.
 
-    The cosets come from a Todd-Coxeter table of W(g) over the subgroup
-    generated by the folded words, never from a listing of W(g).  Vertex
-    ids follow (length, word) of the lex-first minimal representative.
-    Raises BudgetExceededError, before any table is built, when |W(g)| or
-    |W(h)| from the parabolic chain is over ``budget``; the table's rows
-    count against it too.  Raises ValueError if any moved coset changes
-    minimal length by anything other than 1: that would contradict the
-    simple-edge grading and the pair must be rejected.  A graph cached in
-    the ambient diagram's ``diagram_data`` is returned as the same object.
+    The cosets are a Todd-Coxeter table of W(g) over the subgroup the
+    folded words generate, never a listing of W(g): the table validation
+    built to certify the embedding order (``pair.cosets``), or, for a pair
+    exempt from that check, one built here, whose rows count against
+    ``budget``.  Vertex ids follow (length, word) of the lex-first minimal
+    representative.  Raises BudgetExceededError, before any table is
+    built, when |W(g)| or |W(h)| from the parabolic chain is over
+    ``budget``; ValueError if a moved coset changes minimal length by other
+    than 1, against the simple-edge grading.  A graph cached in the ambient
+    diagram's ``diagram_data`` is returned as the same object.
     """
     order_within_budget(pair.g_diagram, budget)
     order_within_budget(pair.h_colored.diagram, budget)
@@ -79,40 +80,38 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
     cached = data.graphs.get(pair.sigma.mapping)
     if cached is not None:
         return cached
-    table = coset_table(pair.g_diagram.cartan, pair.wh_generators, budget=budget)
+    table = pair.cosets
+    if table is None:
+        table = coset_table(pair.g_diagram.cartan, pair.wh_generators, budget=budget)
     words = coset_words(table)
     order = sorted(range(len(table)), key=lambda c: (len(words[c]), words[c]))
-    new_id = [0] * len(table)
-    for cid, c in enumerate(order):
-        new_id[c] = cid
-    d_g = len(data.root_system.positive_roots)
+    new_id = sorted(range(len(order)), key=order.__getitem__)  # inverse of order
     d_h = len(diagram_data(pair.h_colored.diagram).root_system.positive_roots)
-    vertices = tuple(
-        OrbitVertex(coset_id=cid, min_rep=MinRep(words[c]), dim=d_h + len(words[c]))
-        for cid, c in enumerate(order)
-    )
-    action_rows = []
-    edge_set: set[tuple[int, int, int]] = set()
-    for cid, c in enumerate(order):
-        row = tuple(new_id[t] for t in table[c])
-        for j, target in enumerate(row):
-            if target != cid:
-                a, b = vertices[cid], vertices[target]
-                lo, hi = (a, b) if a.dim < b.dim else (b, a)
-                if hi.dim - lo.dim != 1:
-                    raise ValueError(
-                        f"edge {lo.coset_id}-{hi.coset_id} has dim gap "
-                        f"{hi.dim - lo.dim}, model inconsistency"
-                    )
-                edge_set.add((lo.coset_id, hi.coset_id, j))
-        action_rows.append(row)
+    dims = [d_h + len(words[c]) for c in order]
+    action = tuple(tuple(new_id[t] for t in table[c]) for c in order)
+    edges: list[tuple[int, int, int]] = []
+    for cid, row in enumerate(action):
+        up = []  # each edge is read once, from its lower end
+        for j, t in enumerate(row):
+            if dims[t] == dims[cid] + 1:
+                up.append((cid, t, j))
+            elif t != cid and dims[t] != dims[cid] - 1:
+                lo, hi = (cid, t) if dims[cid] < dims[t] else (t, cid)
+                raise ValueError(
+                    f"edge {lo}-{hi} has dim gap {dims[hi] - dims[lo]}, "
+                    "model inconsistency"
+                )
+        edges += sorted(up)
     graph = OrbitGraph(
         pair=pair,
-        vertices=vertices,
-        edges=tuple(sorted(edge_set)),
-        d_g=d_g,
+        vertices=tuple(
+            OrbitVertex(coset_id=cid, min_rep=MinRep(words[c]), dim=dims[cid])
+            for cid, c in enumerate(order)
+        ),
+        edges=tuple(edges),
+        d_g=len(data.root_system.positive_roots),
         d_h=d_h,
-        action=tuple(action_rows),
+        action=action,
     )
     data.graphs[pair.sigma.mapping] = graph
     return graph

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -6,7 +7,7 @@ import pytest
 import minrank as mr
 from minrank import cli
 from minrank.cli import main
-from minrank.root_system import diagram_to_json
+from minrank.root_system import _isomorphisms, diagram_to_json
 
 import oracles
 
@@ -443,6 +444,52 @@ def test_type_field_must_name_each_component_in_order(
         )
     else:
         assert out.startswith(f"pair {label} -> ")
+
+
+def names_block(part, cartan, comp):
+    """Reference for the "type" check: the CLI's own matcher before it used
+    the package's type identification.  True when ``part`` is a type like
+    A3 whose standard diagram is isomorphic to the block on ``comp``."""
+    m = re.match(r"^([A-G])([0-9]+)$", part)
+    if m is None or part != f"{m.group(1)}{len(comp)}":
+        return False
+    try:
+        std = mr.build_dynkin(m.group(1), len(comp)).cartan
+    except ValueError:
+        return False
+    return next(_isomorphisms(std, cartan, comp), None) is not None
+
+
+def test_type_field_check_agrees_with_the_block_matcher(monkeypatch):
+    """Every standard block of rank <= 9, as given and reversed, against
+    every label X<r> and X0<r> with X in A-H and r in 0-10."""
+    # each block is identified once, not once per label
+    monkeypatch.setattr(
+        cli, "_typed_components", functools.lru_cache(maxsize=None)(cli._typed_components)
+    )
+    blocks = []
+    for letter in "ABCDEFG":
+        for rank in range(1, 10):
+            try:
+                cartan = mr.build_dynkin(letter, rank).cartan
+            except ValueError:
+                continue
+            blocks.append(cartan)
+            blocks.append(tuple(row[::-1] for row in cartan[::-1]))
+    labels = [f"{x}{z}{r}" for x in "ABCDEFGH" for z in ("", "0") for r in range(11)]
+    compared = 0
+    for cartan in blocks:
+        n = len(cartan)
+        for label in labels:
+            diagram = mr.DynkinDiagram(label, cartan, tuple(map(str, range(1, n + 1))))
+            try:
+                cli._check_type_field(diagram)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == names_block(label, cartan, tuple(range(n))), (label, cartan)
+            compared += 1
+    assert compared == 13024
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -192,6 +192,135 @@ def test_build_graph_never_lists_a_group():
     assert diagram_data(diagram).group is None
 
 
+# A9 has 3,628,800 elements, over the default budget.
+LARGE_BUDGET = 10**7
+
+
+def handed_pairs(classified6):
+    """The 35 pairs of ambient rank <= 6, then D7_B6, E6_F4, A7_C4 and
+    A9_C5 validated afresh, each carrying the table validation built."""
+    pairs = [p for p in classified6 if p.g_diagram.rank <= 6]
+    for letter, rank, cycles in (
+        ("D", 7, [("6", "7")]),
+        ("E", 6, [("1", "6"), ("3", "5")]),
+        ("A", 7, [("1", "7"), ("2", "6"), ("3", "5")]),
+        ("A", 9, [("1", "9"), ("2", "8"), ("3", "7"), ("4", "6")]),
+    ):
+        diagram = mr.build_dynkin(letter, rank)
+        sigma = mr.FoldingInvolution.from_pairs(diagram, cycles)
+        report = mr.validate_candidate(diagram, sigma, budget=LARGE_BUDGET)
+        assert report.ok, (diagram.type_label, report.failed_check)
+        pairs.append(report.pair)
+    assert len(pairs) == 39
+    return pairs
+
+
+def set_based_graph(table, d_h):
+    """Reference for ``build_graph``'s edge loop, as it was before each edge
+    was read once: every moved coset is read from both of its ends into a
+    set of (lower id, upper id, letter), then sorted.  Returns the dims,
+    the edges and the action in (length, word) vertex order."""
+    words = coset_words(table)
+    order = sorted(range(len(table)), key=lambda c: (len(words[c]), words[c]))
+    new_id = [0] * len(table)
+    for cid, c in enumerate(order):
+        new_id[c] = cid
+    dims = [d_h + len(words[c]) for c in order]
+    action = []
+    edge_set = set()
+    for cid, c in enumerate(order):
+        row = tuple(new_id[t] for t in table[c])
+        for j, target in enumerate(row):
+            if target != cid:
+                lo, hi = (cid, target) if dims[cid] < dims[target] else (target, cid)
+                if dims[hi] - dims[lo] != 1:
+                    raise ValueError(
+                        f"edge {lo}-{hi} has dim gap {dims[hi] - dims[lo]}, "
+                        "model inconsistency"
+                    )
+                edge_set.add((lo, hi, j))
+        action.append(row)
+    return dims, tuple(sorted(edge_set)), tuple(action)
+
+
+def test_the_handed_table_changes_no_graph(private_diagram_data, classified6):
+    """A pair carries validation's table exactly when its embedding order
+    needed one, and the graph built from it is the graph built from a
+    table made afresh."""
+    from dataclasses import replace
+
+    from minrank.folding import _order_is_known
+
+    tables = 0
+    for pair in handed_pairs(classified6):
+        key = (pair.g_diagram.type_label, pair.sigma.mapping)
+        assert (pair.cosets is None) == _order_is_known(pair.g_diagram, pair.sigma), key
+        tables += pair.cosets is not None
+        graph = mr.build_graph(pair, budget=LARGE_BUDGET)
+        private_diagram_data(pair.g_diagram).graphs.clear()
+        fresh = mr.build_graph(replace(pair, cosets=None), budget=LARGE_BUDGET)
+        assert fresh is not graph, key
+        for field in ("vertices", "edges", "action", "d_g", "d_h"):
+            assert getattr(graph, field) == getattr(fresh, field), (key, field)
+    assert tables == 11
+
+
+def test_build_graph_runs_no_coset_enumeration_for_a_validated_fold(
+    private_diagram_data, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("build_graph enumerated the cosets again")
+
+    for letter, rank, cycles in (
+        ("A", 3, [("1", "3")]),
+        ("D", 7, [("6", "7")]),
+        ("E", 6, [("1", "6"), ("3", "5")]),
+    ):
+        diagram = mr.build_dynkin(letter, rank)
+        sigma = mr.FoldingInvolution.from_pairs(diagram, cycles)
+        pair = mr.validate_candidate(diagram, sigma).pair
+        with monkeypatch.context() as patched:
+            patched.setattr(orbits, "coset_table", refuse)
+            graph = mr.build_graph(pair)
+        assert len(graph.vertices) == len(pair.cosets)
+
+
+def test_every_edge_is_read_once(classified6):
+    """The edges read from their lower ends are the set-based edges, on the
+    same pairs; each edge appears once."""
+    for pair in handed_pairs(classified6):
+        graph = mr.build_graph(pair, budget=LARGE_BUDGET)
+        table = pair.cosets or coset_table(pair.g_diagram.cartan, pair.wh_generators)
+        dims, edges, action = set_based_graph(table, graph.d_h)
+        key = (pair.g_diagram.type_label, pair.sigma.mapping)
+        assert [v.dim for v in graph.vertices] == dims, key
+        assert graph.edges == edges, key
+        assert graph.action == action, key
+        assert len(set(graph.edges)) == len(graph.edges), key
+
+
+def test_a_coset_two_grades_apart_raises_the_dim_gap(private_diagram_data):
+    """A3 -> C2 has three cosets in a chain; pointing the top coset's
+    fixed letter at the bottom coset makes an edge across two grades."""
+    from dataclasses import replace
+
+    diagram = mr.build_dynkin("A", 3)
+    sigma = mr.FoldingInvolution.from_pairs(diagram, [("1", "3")])
+    pair = mr.validate_candidate(diagram, sigma).pair
+    table = [list(row) for row in pair.cosets]
+    lengths = [len(w) for w in coset_words(table)]
+    top = lengths.index(2)
+    j = table[top].index(top)
+    table[top][j] = lengths.index(0)
+    message = "edge 0-2 has dim gap 2, model inconsistency"
+    with pytest.raises(ValueError) as expected:
+        set_based_graph(table, 4)
+    assert str(expected.value) == message
+    with pytest.raises(ValueError) as info:
+        mr.build_graph(replace(pair, cosets=table))
+    assert str(info.value) == message
+
+
 def test_quotient_certificate_fails_on_each_broken_part():
     from dataclasses import replace
 

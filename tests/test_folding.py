@@ -569,7 +569,7 @@ def test_may_fold_onto_keeps_every_fold_that_validates_with_its_label(monkeypatc
                 for i in range(m)
             )
             positive = frozenset(
-                _projection(sigma, mr.build_root_system(g).positive_roots)
+                _projection(sigma.orbits, mr.build_root_system(g).positive_roots)
             )
             assert real(positive, m) == presented == strings, (
                 g.type_label, sigma.mapping
