@@ -10,22 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .folding import (
-    FoldingInvolution,
-    ValidationReport,
-    _canonical_key,
-    _may_fold_onto,
-    _orthogonal_involutions,
-    _typed_components,
-    candidate_from_json,
+    SelectorError,
     classification_to_json,
     classify,
-    diagonal_candidate,
     pair_to_json,
-    validate_candidate,
+    resolve_pair,
 )
 from .orbits import (
     build_graph,
@@ -35,14 +27,11 @@ from .orbits import (
     report_to_json,
     verify_pair,
 )
-from .root_system import DynkinDiagram, build_dynkin
-from .weyl import DEFAULT_BUDGET, BudgetExceededError, diagram_data
-
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+from .weyl import DEFAULT_BUDGET, BudgetExceededError
 
 
 class UsageError(Exception):
-    """Invalid configuration or an unresolvable selector."""
+    """Invalid configuration or an unusable pair."""
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -64,106 +53,9 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_type(text: str) -> tuple[str, int]:
-    m = _TYPE_RE.match(text)
-    if m is None:
-        raise UsageError(f"malformed type {text!r}, expected e.g. A3 or E6")
-    return m.group(1), int(m.group(2))
-
-
-def _build_typed(letter: str, rank: int):
-    try:
-        return build_dynkin(letter, rank)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-# labels that build_dynkin accepts for a type identified under another name
-_ALIASES = {"B2": "C2", "D3": "A3"}
-
-
-def _check_type_field(diagram: DynkinDiagram) -> None:
-    """Raise ValueError unless the k-th "+"-separated part of the type label
-    names the k-th component; B2 and D3 stand for C2 and A3."""
-    typed = _typed_components(diagram.cartan) or []
-    if [_ALIASES.get(part, part) for part in diagram.type_label.split("+")] != [
-        f"{letter}{rank}" for letter, rank, _ in typed
-    ]:
-        raise ValueError(f"type {diagram.type_label!r} does not match its Cartan matrix")
-
-
-def _resolve_pair(selector: str, budget: int) -> ValidationReport:
-    """Turn a --pair selector into a validation report.
-
-    Family keys ("A3_C2") must resolve to exactly one nontrivial fold up
-    to relabeling.  Only the involutions with as many orbits as the right
-    label's rank whose positive roots may fold onto its diagram
-    (``_may_fold_onto``) are validated, so the budget bounds only those.
-    "identity:TYPE" and "diag:TYPE" build the trivial and component-swap
-    candidates; a string starting with "{" is an explicit candidate JSON,
-    whose g must be of finite type and named by its "type" field.  Only
-    the explicit forms can return a failing report.
-    """
-    s = selector.strip()
-    if s.startswith("{"):
-        try:
-            diagram, sigma = candidate_from_json(json.loads(s))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed candidate JSON: {exc}") from exc
-        try:
-            diagram_data(diagram).root_system  # g is of finite type, or raises
-            _check_type_field(diagram)
-            return validate_candidate(diagram, sigma, budget=budget)
-        except ValueError as exc:
-            raise UsageError(f"candidate diagram g: {exc}") from exc
-    if s.startswith("identity:"):
-        letter, rank = _parse_type(s[len("identity:"):])
-        diagram = _build_typed(letter, rank)
-        return validate_candidate(
-            diagram, FoldingInvolution.identity(diagram), budget=budget
-        )
-    if s.startswith("diag:"):
-        single = _build_typed(*_parse_type(s[len("diag:"):]))
-        return validate_candidate(*diagonal_candidate(single), budget=budget)
-    if "_" in s:
-        g_part, h_part = s.split("_", 1)
-        g_letter, g_rank = _parse_type(g_part)
-        h_letter, h_rank = _parse_type(h_part)
-        diagram = _build_typed(g_letter, g_rank)
-        # the folded diagram has one vertex per orbit of sigma, so a fold
-        # onto h has rank(g) - rank(h) 2-cycles; a label that build_dynkin
-        # refuses matches nothing
-        cycles = g_rank - h_rank
-        try:
-            target = build_dynkin(h_letter, h_rank) if cycles > 0 else None
-        except ValueError:
-            target = None
-        involutions = (
-            [] if target is None else _orthogonal_involutions(diagram, cycles)
-        )
-        hits: list[ValidationReport] = []
-        for sigma in involutions:
-            if not _may_fold_onto(diagram, sigma, target):
-                continue
-            report = validate_candidate(diagram, sigma, budget=budget)
-            if (
-                report.ok
-                and report.pair is not None
-                and report.pair.h_colored.diagram.type_label == target.type_label
-            ):
-                hits.append(report)
-        if not hits:
-            raise UsageError(f"no valid pair matches selector {selector!r}")
-        if len(hits) > 1 and len(
-            {_canonical_key(diagram.cartan, r.pair.sigma.mapping) for r in hits}
-        ) > 1:
-            raise UsageError(f"selector {selector!r} matches several pairs")
-        return hits[-1]
-    raise UsageError(f"unrecognized pair selector {selector!r}")
-
-
-def _require_valid(report: ValidationReport, selector: str):
-    if not report.ok or report.pair is None:
+def _valid_pair(selector: str, budget: int):
+    report = resolve_pair(selector, budget)
+    if not report.ok:
         raise UsageError(
             f"selector {selector!r} fails validation at check "
             f"{report.failed_check} ({report.tag})"
@@ -195,8 +87,8 @@ def run_classify(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
 
 
 def run_verify(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
-    report = _resolve_pair(ns.pair, budget)
-    if not report.ok or report.pair is None:
+    report = resolve_pair(ns.pair, budget)
+    if not report.ok:
         if ns.format == "json":
             return 1, _json({
                 "selector": ns.pair,
@@ -223,7 +115,7 @@ def run_verify(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
 
 
 def run_graph(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
-    pair = _require_valid(_resolve_pair(ns.pair, budget), ns.pair)
+    pair = _valid_pair(ns.pair, budget)
     graph = build_graph(pair, budget=budget)
     if ns.format == "json":
         return 0, _json(graph_to_json(graph))
@@ -241,7 +133,7 @@ def run_graph(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
 
 
 def run_poincare(ns: argparse.Namespace, budget: int) -> tuple[int, str]:
-    pair = _require_valid(_resolve_pair(ns.pair, budget), ns.pair)
+    pair = _valid_pair(ns.pair, budget)
     p_g, p_h, q, identity_ok = poincare_triple(pair, budget=budget)
     code = 0 if identity_ok else 1
     if ns.format == "json":
@@ -339,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         code, text = _RUNNERS[ns.command](ns, budget)
         _emit(text, ns.out)
         return code
-    except UsageError as exc:
+    except (UsageError, SelectorError) as exc:
         print(f"minrank: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
@@ -349,3 +241,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

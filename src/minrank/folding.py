@@ -11,6 +11,7 @@ lookup table: some valid foldings are not diagram automorphisms.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from dataclasses import dataclass
 
@@ -19,17 +20,21 @@ from .root_system import (
     DynkinDiagram,
     Root,
     RootSystem,
+    TypedComponents,
     build_dynkin,
-    components,
     diagram_to_json,
     diagram_from_json,
     disjoint_union,
-    identify_component,
+    parse_type,
     string_pairing,
+    typed_components,
+    typed_label,
+    _ALIASES,
     _as_given,
     _bond_invariant,
     _identification_candidates,
     _isomorphisms,
+    _rank_in_range,
     _reflect_coords,
     _STRING_STEPS,
 )
@@ -149,11 +154,14 @@ class MinimalRankPair:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     failed_check: str | None = None
     tag: str | None = None
     tags: tuple[str, ...] = ()
     pair: MinimalRankPair | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.pair is not None
 
 
 class _CheckFailed(ValueError):
@@ -188,22 +196,6 @@ def _order_is_known(g_diagram: DynkinDiagram, sigma: FoldingInvolution) -> bool:
     )
 
 
-TypedComponents = list[tuple[str, int, tuple[int, ...]]]
-
-
-def _typed_components(cartan) -> TypedComponents | None:
-    """(letter, rank, vertices in standard order) for each connected
-    component, in component order; None when one is not of finite type."""
-    out = []
-    for comp in components(cartan):
-        hit = identify_component(cartan, comp)
-        if hit is None:
-            return None
-        letter, rank, perm = hit
-        out.append((letter, rank, tuple(comp[k] for k in perm)))
-    return out
-
-
 _FOLD_FAMILIES = {
     ("B", 3, "G", 2): "B3_G2",
     ("E", 6, "F", 4): "E6_F4",
@@ -223,7 +215,7 @@ def _family_name(
         return "identity"
     if diagonal:
         return "diagonal"
-    g_components = _typed_components(g_diagram.cartan)
+    g_components = typed_components(g_diagram.cartan)
     if g_components is None or len(g_components) != 1:
         return "unknown"
     (gl, gr, _), = g_components
@@ -333,7 +325,7 @@ def _folded_presentation(
         DynkinDiagram("", cartan_h, tuple(map(str, range(m))))
     except ValueError as exc:
         raise _CheckFailed("c", "image_not_root_system", str(exc)) from None
-    identified = _typed_components(cartan_h)
+    identified = typed_components(cartan_h)
     if identified is None:
         raise _CheckFailed(
             "c", "image_not_root_system", "folded Cartan matrix is not of finite type"
@@ -341,7 +333,7 @@ def _folded_presentation(
     identified.sort()
     orbit_of_vertex = [k for _, _, idx in identified for k in idx]
     h_diagram = DynkinDiagram(
-        type_label="+".join(f"{letter}{rank}" for letter, rank, _ in identified),
+        type_label=typed_label(identified),
         cartan=tuple(
             tuple(cartan_h[a][b] for b in orbit_of_vertex) for a in orbit_of_vertex
         ),
@@ -453,7 +445,7 @@ def validate_candidate(
                     f"embedded subgroup has index {len(cosets)}, |W(h)| = {expected}",
                 )
     except _CheckFailed as exc:
-        return ValidationReport(ok=False, failed_check=exc.check, tag=exc.tag)
+        return ValidationReport(failed_check=exc.check, tag=exc.tag)
 
     # (g) nonredundancy tags
     tags: tuple[str, ...] = ("identity pair",) if sigma.is_identity else ()
@@ -469,7 +461,7 @@ def validate_candidate(
         family=_family_name(g_diagram, sigma, h_components, diagonal),
         cosets=cosets,
     )
-    return ValidationReport(ok=True, tags=tags, pair=pair)
+    return ValidationReport(tags=tags, pair=pair)
 
 
 def _generator_perm(rs: RootSystem, orbit: tuple[int, ...]) -> tuple[int, ...]:
@@ -604,7 +596,7 @@ def classify(max_rank: int, budget: int = DEFAULT_BUDGET) -> list[MinimalRankPai
         if key in found:
             return
         report = validate_candidate(diagram, sigma, budget=budget)
-        if report.ok and report.pair is not None:
+        if report.ok:
             found[key] = report.pair
 
     connected = [
@@ -642,11 +634,11 @@ def decompose(
         cartan = tuple(
             tuple(pair.g_diagram.cartan[a][b] for b in g_idx) for a in g_idx
         )
-        typed = _typed_components(cartan)
+        typed = typed_components(cartan)
         if typed is None:
             raise ValueError("factor diagram is not of finite type")
         sub_diagram = DynkinDiagram(
-            type_label="+".join(f"{letter}{rank}" for letter, rank, _ in typed),
+            type_label=typed_label(typed),
             cartan=cartan,
             vertices=tuple(str(i + 1) for i in range(len(g_idx))),
         )
@@ -654,7 +646,7 @@ def decompose(
             tuple(pos[pair.sigma.mapping[old]] for old in g_idx)
         )
         report = validate_candidate(sub_diagram, sub_sigma, budget=budget)
-        if not report.ok or report.pair is None:
+        if not report.ok:
             raise ValueError("component restriction failed validation")
         factors.append(report.pair)
     return sorted(factors, key=_sort_key)
@@ -689,8 +681,6 @@ def _evaluate_row(
     if "diagonal pair" in report.tags:
         return "diagonal", "diagonal_pair"
     pair = report.pair
-    if pair is None:
-        raise ValueError("accepted validation report carries no pair")
     computed = (pair.h_colored.diagram.type_label, tuple(sorted(pair.h_colored.black)))
     if computed == (posited_h, tuple(sorted(posited_black))):
         return "accepted", None
@@ -773,3 +763,80 @@ def candidate_from_json(obj: dict) -> tuple[DynkinDiagram, FoldingInvolution]:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed candidate object: {exc}") from None
     return diagram, FoldingInvolution.from_pairs(diagram, pairs)
+
+
+# --- pair selectors -------------------------------------------------------------
+
+
+class SelectorError(ValueError):
+    """A pair selector that is malformed or does not name exactly one pair."""
+
+
+def _check_type_field(diagram: DynkinDiagram) -> None:
+    """Raise ValueError unless the k-th "+"-separated part of the type label
+    names the k-th component; B2 and D3 stand for C2 and A3."""
+    typed = typed_components(diagram.cartan)
+    parts = (_ALIASES.get(part, part) for part in diagram.type_label.split("+"))
+    if typed is None or typed_label(typed) != "+".join(parts):
+        raise ValueError(f"type {diagram.type_label!r} does not match its Cartan matrix")
+
+
+def resolve_pair(selector: str, budget: int = DEFAULT_BUDGET) -> ValidationReport:
+    """The validation report of the pair a selector names, or SelectorError.
+
+    A family key ("A3_C2") names the one nontrivial fold onto its right
+    label, up to relabeling; only the involutions that ``_may_fold_onto``
+    it are validated, so the budget bounds only those.  "identity:TYPE"
+    and "diag:TYPE" name the trivial and component-swap candidates, and a
+    string starting with "{" an explicit candidate, whose g must be of
+    finite type and named by its "type" field.  Only an explicit candidate
+    can fail validation.
+    """
+    s = selector.strip()
+    if s.startswith("{"):
+        try:
+            diagram, sigma = candidate_from_json(json.loads(s))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SelectorError(f"malformed candidate JSON: {exc}") from exc
+        try:
+            diagram_data(diagram).root_system  # g is of finite type, or raises
+            _check_type_field(diagram)
+            return validate_candidate(diagram, sigma, budget=budget)
+        except ValueError as exc:
+            raise SelectorError(f"candidate diagram g: {exc}") from exc
+    if not s.startswith(("identity:", "diag:")) and "_" not in s:
+        raise SelectorError(f"unrecognized pair selector {selector!r}")
+    try:
+        if s.startswith("identity:"):
+            diagram = build_dynkin(*parse_type(s[len("identity:"):]))
+            sigma = FoldingInvolution.identity(diagram)
+        elif s.startswith("diag:"):
+            single = build_dynkin(*parse_type(s[len("diag:"):]))
+            diagram, sigma = diagonal_candidate(single)
+        else:
+            g_part, h_part = s.split("_", 1)
+            g_type, (h_letter, h_rank) = parse_type(g_part), parse_type(h_part)
+            diagram, sigma = build_dynkin(*g_type), None
+    except ValueError as exc:
+        raise SelectorError(str(exc)) from exc
+    if sigma is not None:
+        return validate_candidate(diagram, sigma, budget=budget)
+    # the folded diagram has one vertex per orbit of sigma, so a fold onto
+    # h has rank(g) - rank(h) 2-cycles; a label that build_dynkin refuses
+    # matches nothing
+    cycles = diagram.rank - h_rank
+    hits: list[ValidationReport] = []
+    if cycles > 0 and _rank_in_range(h_letter, h_rank):
+        target = build_dynkin(h_letter, h_rank)
+        for sigma in _orthogonal_involutions(diagram, cycles):
+            if _may_fold_onto(diagram, sigma, target):
+                report = validate_candidate(diagram, sigma, budget=budget)
+                if report.ok and report.pair.h_colored.diagram.type_label == target.type_label:
+                    hits.append(report)
+    if not hits:
+        raise SelectorError(f"no valid pair matches selector {selector!r}")
+    if len(hits) > 1 and len(
+        {_canonical_key(diagram.cartan, r.pair.sigma.mapping) for r in hits}
+    ) > 1:
+        raise SelectorError(f"selector {selector!r} matches several pairs")
+    return hits[-1]

@@ -7,6 +7,7 @@ off root strings, so every query is integer-exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,14 +94,18 @@ def build_dynkin(type_label: str, rank: int) -> DynkinDiagram:
     letter = type_label.upper()
     if letter not in _MIN_RANK:
         raise ValueError(f"unknown type {type_label!r}")
-    lo, hi = _MIN_RANK[letter], _MAX_RANK[letter]
-    if rank < lo or (hi is not None and rank > hi):
+    if not _rank_in_range(letter, rank):
         raise ValueError(f"invalid rank {rank} for type {letter}")
     return DynkinDiagram(
         type_label=f"{letter}{rank}",
         cartan=_standard_cartan(letter, rank),
         vertices=tuple(str(i + 1) for i in range(rank)),
     )
+
+
+def _rank_in_range(letter: str, rank: int) -> bool:
+    hi = _MAX_RANK[letter]
+    return _MIN_RANK[letter] <= rank and (hi is None or rank <= hi)
 
 
 def _standard_cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -333,26 +338,30 @@ def diagram_from_json(obj: dict) -> DynkinDiagram:
     return d
 
 
-# --- component identification ----------------------------------------------
+# --- type names and component identification ---------------------------------
 #
-# Candidate list per rank; B2 and D3 are deliberately absent so that the
-# rank-2 double bond is always named C2 and the rank-3 triangle-free fork
-# is always named A3.
+# A type is named by its letter and rank, like A3 or E6.  The diagrams that
+# build_dynkin also builds as B2 and D3 are always identified as C2 and A3.
+
+_ALIASES = {"B2": "C2", "D3": "A3"}
+_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+
+
+def parse_type(text: str) -> tuple[str, int]:
+    """(letter, rank) of a type name like A3 or E6; ValueError otherwise."""
+    m = _TYPE_RE.match(text)
+    if m is None:
+        raise ValueError(f"malformed type {text!r}, expected e.g. A3 or E6")
+    return m.group(1), int(m.group(2))
 
 
 def _identification_candidates(rank: int) -> list[tuple[str, int]]:
-    if rank == 1:
-        return [("A", 1)]
-    if rank == 2:
-        return [("A", 2), ("C", 2), ("G", 2)]
-    if rank == 3:
-        return [("A", 3), ("B", 3), ("C", 3)]
-    out = [("A", rank), ("B", rank), ("C", rank), ("D", rank)]
-    if rank == 4:
-        out.append(("F", 4))
-    if rank in (6, 7, 8):
-        out.append(("E", rank))
-    return out
+    """Every standard type of this rank but the aliases, in letter order."""
+    return [
+        (letter, rank)
+        for letter in _MIN_RANK
+        if _rank_in_range(letter, rank) and f"{letter}{rank}" not in _ALIASES
+    ]
 
 
 def _isomorphisms(std, cartan, indices: tuple[int, ...]):
@@ -418,3 +427,24 @@ def identify_component(cartan, indices: tuple[int, ...]) -> tuple[str, int, tupl
         if perm is not None:
             return letter, rank, perm
     return None
+
+
+TypedComponents = list[tuple[str, int, tuple[int, ...]]]
+
+
+def typed_components(cartan) -> TypedComponents | None:
+    """(letter, rank, vertices in standard order) for each connected
+    component, in component order; None when one is not of finite type."""
+    out = []
+    for comp in components(cartan):
+        hit = identify_component(cartan, comp)
+        if hit is None:
+            return None
+        letter, rank, perm = hit
+        out.append((letter, rank, tuple(comp[k] for k in perm)))
+    return out
+
+
+def typed_label(typed: TypedComponents) -> str:
+    """The type label of typed components, like C2+A1."""
+    return "+".join(f"{letter}{rank}" for letter, rank, _ in typed)

@@ -1,11 +1,15 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import minrank as mr
-from minrank import cli
+from minrank import folding
 from minrank.cli import main
 from minrank.root_system import _isomorphisms, diagram_to_json
 
@@ -465,7 +469,7 @@ def test_type_field_check_agrees_with_the_block_matcher(monkeypatch):
     every label X<r> and X0<r> with X in A-H and r in 0-10."""
     # each block is identified once, not once per label
     monkeypatch.setattr(
-        cli, "_typed_components", functools.lru_cache(maxsize=None)(cli._typed_components)
+        folding, "typed_components", functools.lru_cache(maxsize=None)(folding.typed_components)
     )
     blocks = []
     for letter in "ABCDEFG":
@@ -483,7 +487,7 @@ def test_type_field_check_agrees_with_the_block_matcher(monkeypatch):
         for label in labels:
             diagram = mr.DynkinDiagram(label, cartan, tuple(map(str, range(1, n + 1))))
             try:
-                cli._check_type_field(diagram)
+                folding._check_type_field(diagram)
                 accepted = True
             except ValueError:
                 accepted = False
@@ -551,13 +555,13 @@ def test_selector_whose_folded_label_names_no_diagram_matches_nothing(capsys, se
 
 def _count_calls(monkeypatch, name):
     calls = []
-    inner = getattr(cli, name)
+    inner = getattr(folding, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(folding, name, counted)
     return calls
 
 
@@ -593,7 +597,7 @@ def test_verify_d4_b3_resolves_its_three_conjugate_folds_to_the_last(capsys):
 
 
 def test_selector_matching_two_classes_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_canonical_key", lambda cartan, mapping: mapping)
+    monkeypatch.setattr(folding, "_canonical_key", lambda cartan, mapping: mapping)
     code, out, err = run_cli(capsys, "verify", "--pair", "D4_B3")
     assert code == 2
     assert out == ""
@@ -626,3 +630,28 @@ def test_verify_text_names_the_witness_of_a_failing_order_check(capsys, patch_gr
     assert code == 1
     assert "  order_path_independent: FAIL (witness 0, 1, 3)\n" in out
     assert "  order_transitive: pass\n" in out
+
+
+def run_module(*argv):
+    """``python -m minrank ARGV`` in a fresh interpreter on this package."""
+    src = str(Path(mr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "minrank", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_m_minrank_reports_a_usage_error():
+    proc = run_module("verify", "--pair", "bogus")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "minrank: unrecognized pair selector 'bogus'\n"
+
+
+def test_python_m_minrank_reproduces_the_golden_classification():
+    proc = run_module("classify", "--max-rank", "6")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    golden = Path(__file__).resolve().parent / "golden" / "classify_rank6.json"
+    assert proc.stdout == golden.read_text()

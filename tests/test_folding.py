@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from functools import lru_cache
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 import minrank as mr
 from minrank import folding
 from minrank.folding import (
+    SelectorError,
     _CheckFailed,
     _basis_pairing,
     _canonical_key,
@@ -18,9 +20,10 @@ from minrank.folding import (
     _orthogonal_involutions,
     _projection,
     candidate_from_json,
+    resolve_pair,
 )
-from minrank.root_system import _identification_candidates, string_pairing
-from minrank.weyl import compose, perm_closure
+from minrank.root_system import _identification_candidates, diagram_to_json, string_pairing
+from minrank.weyl import BudgetExceededError, compose, perm_closure
 
 import oracles
 
@@ -327,18 +330,6 @@ def test_canonical_key_is_relabel_invariant(rnd):
     assert report.pair.h_colored.diagram.type_label == "C2"
 
 
-def test_evaluate_row_raises_on_an_accepted_report_without_a_pair(monkeypatch):
-    from minrank import folding
-
-    monkeypatch.setattr(
-        folding, "validate_candidate", lambda g, sigma: mr.ValidationReport(ok=True)
-    )
-    a3 = mr.build_dynkin("A", 3)
-    sigma = mr.FoldingInvolution.from_pairs(a3, [("1", "3")])
-    with pytest.raises(ValueError, match="no pair"):
-        folding._evaluate_row(a3, sigma, "C2", ("1",))
-
-
 def test_restriction_map_rejects_a_nonorthogonal_two_fiber():
     diagram, sigma = fold_of("C", 3, [("1", "3")])
     with pytest.raises(ValueError, match="not orthogonal"):
@@ -626,3 +617,86 @@ def test_exempt_candidates_validate_with_the_folded_group_order():
             oracles.weyl_order(t[0], int(t[1:])) for t in h_label.split("+")
         )
         assert len(perm_closure(gens, len(rs.roots))) == order, h_label
+
+
+def candidate(g, label=None, sigma=()):
+    obj = diagram_to_json(g)
+    if label is not None:
+        obj["type"] = label
+    return json.dumps({"g": obj, "sigma": [list(p) for p in sigma]})
+
+
+AFFINE_A1 = json.dumps({
+    "g": {"type": "X", "rank": 2, "cartan": [[2, -2], [-2, 2]], "vertices": ["1", "2"]},
+    "sigma": [],
+})
+
+
+@pytest.mark.parametrize(
+    "selector, message",
+    [
+        ('{"g": 1', "malformed candidate JSON: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+        ('{"g": {}}', "malformed candidate JSON: malformed diagram object: 'type'"),
+        (
+            AFFINE_A1,
+            "candidate diagram g: closure exceeded 240 roots on component (0, 1); "
+            "diagram is not of finite type",
+        ),
+        (
+            candidate(mr.build_dynkin("A", 3), "E8"),
+            "candidate diagram g: type 'E8' does not match its Cartan matrix",
+        ),
+        ("a3_c2", "malformed type 'a3', expected e.g. A3 or E6"),
+        ("A3_", "malformed type '', expected e.g. A3 or E6"),
+        ("E9_a1", "malformed type 'a1', expected e.g. A3 or E6"),
+        ("identity:H3", "malformed type 'H3', expected e.g. A3 or E6"),
+        ("identity:E9", "invalid rank 9 for type E"),
+        ("diag:B1", "invalid rank 1 for type B"),
+        ("E6_A4", "no valid pair matches selector 'E6_A4'"),
+        ("A3_B1", "no valid pair matches selector 'A3_B1'"),
+        ("A3_A3", "no valid pair matches selector 'A3_A3'"),
+        ("bogus", "unrecognized pair selector 'bogus'"),
+        (" bogus ", "unrecognized pair selector ' bogus '"),
+    ],
+)
+def test_resolve_pair_refuses_a_selector_with_its_message(selector, message):
+    with pytest.raises(SelectorError) as info:
+        resolve_pair(selector)
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+
+
+def test_resolve_pair_refuses_a_key_matching_two_classes(monkeypatch):
+    monkeypatch.setattr(folding, "_canonical_key", lambda cartan, mapping: mapping)
+    with pytest.raises(SelectorError) as info:
+        resolve_pair("D4_B3")
+    assert str(info.value) == "selector 'D4_B3' matches several pairs"
+
+
+def test_resolve_pair_lets_a_budget_error_through():
+    with pytest.raises(BudgetExceededError, match="F4"):
+        resolve_pair("E6_F4", budget=1000)
+
+
+@pytest.mark.parametrize(
+    "selector, g_label, h_label",
+    [
+        ("A3_C2", "A3", "C2"),
+        ("A03_C02", "A3", "C2"),
+        ("identity:B4", "B4", "B4"),
+        ("diag:A2", "A2+A2", "A2"),
+        (candidate(mr.build_dynkin("C", 2), "B2"), "B2", "C2"),
+    ],
+)
+def test_resolve_pair_names_the_pair(selector, g_label, h_label):
+    report = resolve_pair(selector)
+    assert report.ok
+    assert report.pair.g_diagram.type_label == g_label
+    assert report.pair.h_colored.diagram.type_label == h_label
+
+
+def test_resolve_pair_reports_a_rejected_explicit_candidate():
+    report = resolve_pair(candidate(mr.build_dynkin("C", 3), sigma=[("1", "3")]))
+    assert not report.ok
+    assert report.pair is None
+    assert (report.failed_check, report.tag) == ("b", "nonorthogonal_fiber")

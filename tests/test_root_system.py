@@ -11,7 +11,10 @@ from minrank.root_system import (
     diagram_from_json,
     diagram_to_json,
     identify_component,
+    parse_type,
     string_pairing,
+    typed_components,
+    typed_label,
 )
 
 import oracles
@@ -310,3 +313,47 @@ def test_pairing_vanishes_symmetrically(tp, data):
     a = data.draw(st.sampled_from(rs.roots))
     b = data.draw(st.sampled_from(rs.roots))
     assert (mr.pairing(rs, a, b) == 0) == (mr.pairing(rs, b, a) == 0)
+
+
+def identification_candidates_by_hand(rank):
+    """The per-rank type list as it was written out before it was derived
+    from the rank table: B2 and D3 are left out, named C2 and A3."""
+    if rank == 1:
+        return [("A", 1)]
+    if rank == 2:
+        return [("A", 2), ("C", 2), ("G", 2)]
+    if rank == 3:
+        return [("A", 3), ("B", 3), ("C", 3)]
+    out = [("A", rank), ("B", rank), ("C", rank), ("D", rank)]
+    if rank == 4:
+        out.append(("F", 4))
+    if rank in (6, 7, 8):
+        out.append(("E", rank))
+    return out
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_identification_candidates_are_derived_from_the_rank_table(rank):
+    assert _identification_candidates(rank) == identification_candidates_by_hand(rank)
+
+
+@pytest.mark.parametrize(
+    "text, parsed", [("A3", ("A", 3)), ("E6", ("E", 6)), ("A03", ("A", 3)), ("B13", ("B", 13))]
+)
+def test_parse_type_reads_letter_and_rank(text, parsed):
+    assert parse_type(text) == parsed
+
+
+@pytest.mark.parametrize("text", ["", "a3", "H3", "A", "3", "A3+A1", " A3", "A-1"])
+def test_parse_type_refuses_a_malformed_name(text):
+    with pytest.raises(ValueError) as info:
+        parse_type(text)
+    assert str(info.value) == f"malformed type {text!r}, expected e.g. A3 or E6"
+
+
+def test_typed_label_names_the_components_in_order():
+    c2_a1 = mr.disjoint_union(mr.build_dynkin("B", 2), mr.build_dynkin("A", 1))
+    assert typed_label(typed_components(c2_a1.cartan)) == "C2+A1"
+    d3 = mr.build_dynkin("D", 3)
+    assert typed_label(typed_components(d3.cartan)) == "A3"
+    assert typed_components(((2, -2), (-2, 2))) is None

@@ -112,13 +112,22 @@ def exports() -> list[str]:
     )
 
 
+def cli_public() -> list[str]:
+    """cli.py imports no underscore-named name from the package."""
+    path = PACKAGE / "cli.py"
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: imports {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "minrank")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def golden() -> list[str]:
-    """``minrank.cli.run`` reproduces the golden classification."""
-    proc = _run([
-        sys.executable, "-c",
-        "import sys; sys.argv[0] = 'minrank'; from minrank.cli import run; run()",
-        "classify", "--max-rank", "6",
-    ])
+    """``python -m minrank`` reproduces the golden classification."""
+    proc = _run([sys.executable, "-m", "minrank", "classify", "--max-rank", "6"])
     problems = [] if proc.returncode == 0 else [f"exited {proc.returncode}: {proc.stderr.strip()}"]
     if proc.stdout != GOLDEN.read_text():
         problems.append(f"stdout differs from {GOLDEN.relative_to(ROOT)}")
@@ -145,16 +154,25 @@ def _benchmark(workload: str):
     return check
 
 
+def census() -> list[str]:
+    """Every census invocation matches tests/golden/census.json."""
+    proc = _run([sys.executable, "tools/census.py", "--jobs", "2"])
+    lines = proc.stdout.strip().splitlines()
+    return [] if proc.returncode == 0 else lines[1:] or [f"exited {proc.returncode}: {proc.stderr.strip()}"]
+
+
 STEPS = {
     "tier1": tier1,
     "no-assert": no_assert,
     "integer-stdlib": integer_stdlib,
     "tracer-layers": tracer_layers,
     "exports": exports,
+    "cli-public": cli_public,
     "golden": golden,
     "bench-classify": _benchmark("classify"),
     "bench-fold_graphs": _benchmark("fold_graphs"),
     "bench-survey": _benchmark("survey"),
+    "census": census,
 }
 
 
