@@ -19,7 +19,6 @@ from .root_system import (
     DEFAULT_RANK_CAP,
     DynkinDiagram,
     Root,
-    RootSystem,
     TypedComponents,
     build_dynkin,
     diagram_to_json,
@@ -44,13 +43,11 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     Subgroup,
-    compose,
     coset_table,
     diagram_data,
     order_within_budget,
     perm_closure,
-    perm_key,
-    reflection_perms,
+    word_perm,
 )
 
 
@@ -464,15 +461,6 @@ def validate_candidate(
     return ValidationReport(tags=tags, pair=pair)
 
 
-def _generator_perm(rs: RootSystem, orbit: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of the indexed roots for the product of the orbit's reflections."""
-    perms = reflection_perms(rs)
-    out = tuple(range(len(rs.roots)))
-    for j in sorted(orbit):
-        out = compose(out, perms[j])
-    return out
-
-
 def embed_weyl(
     pair: MinimalRankPair, W: WeylGroup, budget: int = DEFAULT_BUDGET
 ) -> tuple[Subgroup, tuple[WeylElement, ...]]:
@@ -486,8 +474,8 @@ def embed_weyl(
     if W.root_system.diagram != pair.g_diagram:
         raise ValueError("group does not belong to the pair's ambient diagram")
     rs = W.root_system
-    gen_perms = [_generator_perm(rs, orbit) for orbit in pair.wh_generators]
-    generators = tuple(W.elements[perm_key(p)] for p in gen_perms)
+    gen_perms = [word_perm(rs, orbit) for orbit in pair.wh_generators]
+    generators = tuple(W.elements[p] for p in gen_perms)
     if pair.sigma.is_identity:
         return Subgroup(W, tuple(w.perm for w in W.elements.values())), generators
     expected = order_within_budget(pair.h_colored.diagram, budget)

@@ -344,12 +344,12 @@ def diagram_from_json(obj: dict) -> DynkinDiagram:
 # build_dynkin also builds as B2 and D3 are always identified as C2 and A3.
 
 _ALIASES = {"B2": "C2", "D3": "A3"}
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+_TYPE_RE = re.compile(r"([A-G])([0-9]+)")
 
 
 def parse_type(text: str) -> tuple[str, int]:
     """(letter, rank) of a type name like A3 or E6; ValueError otherwise."""
-    m = _TYPE_RE.match(text)
+    m = _TYPE_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed type {text!r}, expected e.g. A3 or E6")
     return m.group(1), int(m.group(2))

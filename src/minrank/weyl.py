@@ -1,18 +1,19 @@
 """Weyl groups as exact permutation groups on the indexed root set, and
 coset enumeration on their Coxeter presentation.
 
-Elements are keyed by their permutation of the roots; each carries the
-first reduced word found by breadth-first closure, which is also the
-lexicographically smallest reduced word for that element.  The coset
-engine at the end of this module works on words alone: it never lists the
-group, so its cost grows with the number of cosets, not with |W|.
+Elements are keyed by their permutation of the roots, stored as ``bytes``
+(no other module knows the format); each carries the first reduced word
+found by breadth-first closure, which is also the lexicographically
+smallest reduced word for that element.  The coset engine at the end of
+this module works on words alone: it never lists the group, so its cost
+grows with the number of cosets, not with |W|.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .root_system import (
     DynkinDiagram,
@@ -23,7 +24,7 @@ from .root_system import (
 
 DEFAULT_BUDGET = 3_000_000
 
-Perm = tuple[int, ...]
+Perm = bytes  # perm[i] is the index of the image of root i
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,13 +40,14 @@ class BudgetExceededError(RuntimeError):
         self.partial_count = partial_count
 
 
+def _table(p: Perm) -> bytes:
+    """``p`` padded to a 256-byte translation table."""
+    return p.ljust(256, b"\0")
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Permutation of 'apply q, then p'."""
-    return tuple(p[i] for i in q)
-
-
-def perm_key(p: Perm) -> bytes:
-    return bytes(p)
+    return q.translate(_table(p))
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class WeylElement:
 
     @property
     def key(self) -> bytes:
-        return perm_key(self.perm)
+        return self.perm
 
 
 class WeylGroup:
@@ -70,44 +72,54 @@ class WeylGroup:
         self.root_system = root_system
         self.elements = elements
         self.generators = generators
-        self.identity = elements[perm_key(tuple(range(len(root_system.roots))))]
+        self.identity = elements[bytes(range(len(root_system.roots)))]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        inv = [0] * len(w.perm)
+        inv = bytearray(len(w.perm))
         for i, j in enumerate(w.perm):
             inv[j] = i
-        return self.elements[perm_key(tuple(inv))]
+        return self.elements[bytes(inv)]
 
     def product(self, u: WeylElement, v: WeylElement) -> WeylElement:
         """Group product u*v (v acts first on roots)."""
-        return self.elements[perm_key(compose(u.perm, v.perm))]
+        return self.elements[compose(u.perm, v.perm)]
 
 
 def reflection_perms(rs: RootSystem) -> tuple[Perm, ...]:
-    """Permutation of the indexed roots induced by each simple reflection."""
+    """Permutation of the indexed roots induced by each simple reflection.
+
+    Raises ValueError past 256 roots, which bytes cannot index; every such
+    Weyl group has more than 10^10 elements, far too many to list.
+    """
+    if len(rs.roots) > 256:
+        raise ValueError(f"{rs.diagram.type_label} has {len(rs.roots)} roots, over 256")
     index = rs.root_index
     cartan = rs.diagram.cartan
-    perms = []
-    for j in range(rs.diagram.rank):
-        perms.append(
-            tuple(index[_reflect_coords(cartan, r, j)] for r in rs.roots)
-        )
-    return tuple(perms)
+    return tuple(
+        bytes(index[_reflect_coords(cartan, r, j)] for r in rs.roots)
+        for j in range(rs.diagram.rank)
+    )
+
+
+def word_perm(rs: RootSystem, word: tuple[int, ...]) -> Perm:
+    """Permutation of the indexed roots for the product of the word's simple
+    reflections, its first letter acting last."""
+    perms = reflection_perms(rs)
+    return reduce(compose, (perms[j] for j in word), bytes(range(len(rs.roots))))
 
 
 @dataclass(eq=False)
 class DiagramData:
     """What is kept about one Dynkin diagram, each field built on first
-    use: its root system, P_W from the parabolic chain, the group listed by
-    ``generate_weyl`` and the orbit graphs of its folds by ``sigma.mapping``.
+    use: its root system, P_W from the parabolic chain and the orbit graphs
+    of its folds by ``sigma.mapping``.  No listed group is kept.
     """
 
     diagram: DynkinDiagram
-    group: WeylGroup | None = None
     graphs: dict = field(default_factory=dict)
 
     @cached_property
@@ -130,29 +142,24 @@ def generate_weyl(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     Elements are discovered in (length, lex word) order; the stored word is
     the lex-min reduced word.  |W| is predicted from the parabolic chain
     first, so a group over ``budget`` raises BudgetExceededError before any
-    element is listed.  The group is cached in ``diagram_data``.
+    element is listed.  Each call lists the group anew; none is kept.
     """
     order_within_budget(rs.diagram, budget)
-    data = diagram_data(rs.diagram)
-    if data.group is not None:
-        return data.group
     gens = reflection_perms(rs)
-    frontier = [WeylElement(tuple(range(len(rs.roots))), ())]
-    elements = {frontier[0].key: frontier[0]}
+    frontier = [WeylElement(bytes(range(len(rs.roots))), ())]
+    elements = {frontier[0].perm: frontier[0]}
     while frontier:
         new: list[WeylElement] = []
         for w in frontier:
+            table = _table(w.perm)
             for i, g in enumerate(gens):
-                p = compose(w.perm, g)
-                k = perm_key(p)
-                if k not in elements:
+                p = g.translate(table)
+                if p not in elements:
                     el = WeylElement(p, w.word + (i,))
-                    elements[k] = el
+                    elements[p] = el
                     new.append(el)
         frontier = new
-    gen_elements = tuple(elements[perm_key(g)] for g in gens)
-    data.group = WeylGroup(rs, elements, gen_elements)
-    return data.group
+    return WeylGroup(rs, elements, tuple(elements[g] for g in gens))
 
 
 def length_poincare(W: WeylGroup) -> tuple[int, ...]:
@@ -201,25 +208,25 @@ def perm_closure(
     generators: list[Perm], n: int, budget: int | None = None
 ) -> list[Perm]:
     """Closure of permutations of range(n) under composition, identity first."""
-    identity: Perm = tuple(range(n))
-    seen: dict[bytes, Perm] = {perm_key(identity): identity}
+    identity = bytes(range(n))
+    seen = {identity: None}  # a dict keeps the discovery order
     frontier = [identity]
     while frontier:
         new = []
         for p in frontier:
+            table = _table(p)
             for g in generators:
-                q = compose(p, g)
-                k = perm_key(q)
-                if k not in seen:
+                q = g.translate(table)
+                if q not in seen:
                     if budget is not None and len(seen) >= budget:
                         raise BudgetExceededError(
                             "subgroup closure exceeded the element budget",
                             partial_count=len(seen),
                         )
-                    seen[k] = q
+                    seen[q] = None
                     new.append(q)
         frontier = new
-    return list(seen.values())
+    return list(seen)
 
 
 def coset_decomposition(
@@ -241,9 +248,9 @@ def coset_decomposition(
             continue
         cid = len(reps)
         reps.append(w)
-        wp = w.perm
+        table = _table(w.perm)
         for up in W0.perms:
-            coset_of[perm_key(compose(wp, up))] = cid
+            coset_of[up.translate(table)] = cid
     if len(coset_of) != W.order:
         raise ValueError("subgroup does not partition the group into cosets")
     return reps, coset_of

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -41,6 +42,21 @@ def group_of():
         return mr.generate_weyl(mr.build_root_system(mr.build_dynkin(letter, rank)))
 
     return get
+
+
+@pytest.fixture
+def forbid_group_listing(monkeypatch):
+    """Make any call of generate_weyl, under any module name, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_weyl was called")
+
+    original = mr.weyl.generate_weyl
+    for name, module in list(sys.modules.items()):
+        if name == "minrank" or name.startswith("minrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 @pytest.fixture

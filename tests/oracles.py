@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -38,11 +39,13 @@ def symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
     return tuple(d)
 
 
+@lru_cache(maxsize=None)
 def root_closure(cartan: Matrix, bound: int = 300) -> frozenset[tuple[int, ...]]:
     """All roots, by closing the simples under reflection at every root.
 
     Raises ValueError when a pairing is not an integer or the closure grows
-    past ``bound`` roots.
+    past ``bound`` roots.  Memoized on ``(cartan, bound)``, so tests that
+    ask for the same closure share one frozenset; a raise is not cached.
     """
     n = len(cartan)
     d = symmetrizer(cartan)

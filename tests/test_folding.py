@@ -14,7 +14,6 @@ from minrank.folding import (
     _CheckFailed,
     _basis_pairing,
     _canonical_key,
-    _generator_perm,
     _may_fold_onto,
     _order_is_known,
     _orthogonal_involutions,
@@ -23,7 +22,7 @@ from minrank.folding import (
     resolve_pair,
 )
 from minrank.root_system import _identification_candidates, diagram_to_json, string_pairing
-from minrank.weyl import BudgetExceededError, compose, perm_closure
+from minrank.weyl import BudgetExceededError, perm_closure, word_perm
 
 import oracles
 
@@ -346,16 +345,16 @@ def test_folded_simple_system_rejects_an_image_that_is_not_a_root_system():
 
 
 def forbid_root_permutations(monkeypatch):
-    """Make perm_closure, reflection_perms and _generator_perm fail the test
+    """Make perm_closure, reflection_perms and word_perm fail the test
     under every name a minrank module binds them to."""
     import sys
 
-    from minrank import folding, weyl
+    from minrank import weyl
 
     def refuse(*args, **kwargs):
         raise AssertionError("a root permutation was built")
 
-    originals = (weyl.perm_closure, weyl.reflection_perms, folding._generator_perm)
+    originals = (weyl.perm_closure, weyl.reflection_perms, weyl.word_perm)
     for name, module in list(sys.modules.items()):
         if name == "minrank" or name.startswith("minrank."):
             for attr, value in list(vars(module).items()):
@@ -611,7 +610,7 @@ def test_exempt_candidates_validate_with_the_folded_group_order():
         if sigma.is_identity and g.rank > 5:
             continue
         rs = mr.build_root_system(g)
-        gens = [_generator_perm(rs, word) for word in report.pair.wh_generators]
+        gens = [word_perm(rs, word) for word in report.pair.wh_generators]
         h_label = report.pair.h_colored.diagram.type_label
         order = math.prod(
             oracles.weyl_order(t[0], int(t[1:])) for t in h_label.split("+")
@@ -648,6 +647,7 @@ AFFINE_A1 = json.dumps({
         ),
         ("a3_c2", "malformed type 'a3', expected e.g. A3 or E6"),
         ("A3_", "malformed type '', expected e.g. A3 or E6"),
+        ("A3\n_C2", "malformed type 'A3\\n', expected e.g. A3 or E6"),
         ("E9_a1", "malformed type 'a1', expected e.g. A3 or E6"),
         ("identity:H3", "malformed type 'H3', expected e.g. A3 or E6"),
         ("identity:E9", "invalid rank 9 for type E"),

@@ -344,7 +344,7 @@ def test_parse_type_reads_letter_and_rank(text, parsed):
     assert parse_type(text) == parsed
 
 
-@pytest.mark.parametrize("text", ["", "a3", "H3", "A", "3", "A3+A1", " A3", "A-1"])
+@pytest.mark.parametrize("text", ["", "a3", "H3", "A", "3", "A3+A1", " A3", "A-1", "A3\n"])
 def test_parse_type_refuses_a_malformed_name(text):
     with pytest.raises(ValueError) as info:
         parse_type(text)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from functools import lru_cache, reduce
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import minrank as mr
 from minrank import weyl
+from minrank.root_system import _reflect_coords
 from minrank.weyl import (
     BudgetExceededError,
     Subgroup,
@@ -21,6 +24,8 @@ SMALL_TYPES = [
     ("A", 3), ("B", 3), ("C", 3),
     ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4),
 ]
+
+CONNECTED_RANK5 = SMALL_TYPES + [("A", 5), ("B", 5), ("C", 5), ("D", 5)]
 
 small_types_st = st.sampled_from(SMALL_TYPES)
 
@@ -127,7 +132,7 @@ def test_budget_exceeded_raises_with_partial_count():
     with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs, budget=5)
     assert info.value.partial_count == 0
-    # a cached group is refused by the same prediction, which names the order
+    # after a listing, the same prediction refuses again and names the order
     assert mr.generate_weyl(rs).order == 24
     with pytest.raises(BudgetExceededError) as info:
         mr.generate_weyl(rs, budget=5)
@@ -145,6 +150,58 @@ def test_generate_weyl_refuses_e8_before_listing_anything(monkeypatch):
         mr.generate_weyl(rs)
     assert info.value.partial_count == 0
     assert str(oracles.weyl_order("E", 8)) in str(info.value)
+
+
+def tuple_enumeration(rs):
+    """(word, perm) of each element, in discovery order, by the breadth-first
+    closure written on tuple permutations: compose(p, q) = p[q[i]] for each i."""
+    cartan = rs.diagram.cartan
+    gens = [
+        tuple(rs.root_index[_reflect_coords(cartan, r, j)] for r in rs.roots)
+        for j in range(rs.diagram.rank)
+    ]
+    identity = tuple(range(len(rs.roots)))
+    elements = {bytes(identity): ((), identity)}
+    frontier = [((), identity)]
+    while frontier:
+        new = []
+        for word, perm in frontier:
+            for i, g in enumerate(gens):
+                p = tuple(perm[k] for k in g)
+                if bytes(p) not in elements:
+                    elements[bytes(p)] = el = (word + (i,), p)
+                    new.append(el)
+        frontier = new
+    return list(elements.values())
+
+
+@pytest.mark.parametrize("letter,rank", CONNECTED_RANK5)
+def test_byte_enumeration_matches_the_tuple_enumeration(letter, rank):
+    W = group_of(letter, rank)
+    got = [(w.word, tuple(w.perm)) for w in W.elements.values()]
+    assert got == tuple_enumeration(W.root_system)
+
+
+def test_reflection_perms_refuses_more_than_256_roots():
+    """A16 has 272 roots, more than a byte can index."""
+    rs = mr.build_root_system(mr.build_dynkin("A", 16))
+    assert len(rs.roots) == 272
+    with pytest.raises(ValueError, match="A16"):
+        weyl.reflection_perms(rs)
+    with pytest.raises(BudgetExceededError):
+        mr.generate_weyl(rs)
+
+
+def test_a_listed_group_does_not_outlive_its_caller():
+    rs = mr.build_root_system(mr.build_dynkin("B", 3))
+    W = mr.generate_weyl(rs)
+    ref = weakref.ref(W)
+    del W
+    gc.collect()
+    assert ref() is None
+    first, second = mr.generate_weyl(rs), mr.generate_weyl(rs)
+    assert first is not second
+    assert first.elements == second.elements
 
 
 def test_perm_closure_budget():

@@ -107,6 +107,7 @@ def selectors() -> list[tuple[str, str]]:
         "identity:A17", "diag:B13", "bogus", "A3_", "_C2",
     ):
         out.append((name, name))
+    out.append((r"A3\n_C2", "A3\n_C2"))  # the name escapes the newline, to print on one line
     return list(dict(out).items())  # D4_B3 and E6_F4 are named twice
 
 

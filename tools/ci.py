@@ -125,6 +125,20 @@ def cli_public() -> list[str]:
     ]
 
 
+def perm_format() -> list[str]:
+    """Only weyl.py imports compose, perm_key or reflection_perms."""
+    names = {"compose", "perm_key", "reflection_perms"}
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: imports {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "weyl.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in names
+    ]
+
+
 def golden() -> list[str]:
     """``python -m minrank`` reproduces the golden classification."""
     proc = _run([sys.executable, "-m", "minrank", "classify", "--max-rank", "6"])
@@ -168,6 +182,7 @@ STEPS = {
     "tracer-layers": tracer_layers,
     "exports": exports,
     "cli-public": cli_public,
+    "perm-format": perm_format,
     "golden": golden,
     "bench-classify": _benchmark("classify"),
     "bench-fold_graphs": _benchmark("fold_graphs"),
