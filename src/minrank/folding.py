@@ -34,7 +34,7 @@ from .root_system import (
     _identification_candidates,
     _isomorphisms,
     _rank_in_range,
-    _reflect_coords,
+    _reflect_root,
     _STRING_STEPS,
 )
 from .weyl import (
@@ -386,9 +386,9 @@ def _may_fold_onto(
     return next(_isomorphisms(target.cartan, cartan, tuple(range(m))), None) is not None
 
 
-def _apply_word(cartan, word: tuple[int, ...], root: Root) -> Root:
+def _apply_word(columns, word: tuple[int, ...], root: Root) -> Root:
     for j in word:
-        root = _reflect_coords(cartan, root, j)
+        root = _reflect_root(columns, root, j)
     return root
 
 
@@ -413,7 +413,7 @@ def validate_candidate(
     is a simple root in orbit k, and the preimages of the folded simples
     are the ambient simples.
     """
-    cartan = g_diagram.cartan
+    columns = g_diagram.cartan_columns
     try:
         rho = restriction_map(g_diagram, sigma)
         h_colored, wh_generators, h_components = _folded_presentation(rho)
@@ -422,7 +422,7 @@ def validate_candidate(
         for word in wh_generators:
             for img, fiber in rho.fibers.items():
                 if len(fiber) == 2 and len(set(_projection(
-                    rho.orbits, [_apply_word(cartan, word, r) for r in fiber]
+                    rho.orbits, [_apply_word(columns, word, r) for r in fiber]
                 ))) != 1:
                     raise _CheckFailed(
                         "e", "wh_stability", f"word {word} splits the fiber over {img}"
@@ -434,7 +434,7 @@ def validate_candidate(
         cosets = None
         if not _order_is_known(g_diagram, sigma):
             expected = order_within_budget(h_colored.diagram, budget)
-            cosets = coset_table(cartan, wh_generators, budget=budget)
+            cosets = coset_table(g_diagram.cartan, wh_generators, budget=budget)
             if len(cosets) * expected != sum(diagram_data(g_diagram).poincare):
                 raise _CheckFailed(
                     "embed",

@@ -4,7 +4,7 @@ the graded orbit graph, and the cancellation order.
 Vertices are the left cosets of the embedded folded Weyl group; a simple
 reflection acts by left multiplication.  The cosets and the action come
 from a Todd-Coxeter table on the Coxeter presentation of W(g), and P_G and
-P_H from parabolic chains, so no group is ever listed.  The dimension of a
+P_H from root heights, so no group is ever listed.  The dimension of a
 vertex is the positive-root count of the folded system plus the minimal
 representative length, so the identity coset sits at the bottom and the
 longest-element coset at the top.  Every construction here asserts the gradings it relies
@@ -14,6 +14,7 @@ on instead of assuming them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from random import Random
 
 from .folding import MinimalRankPair, pair_to_json
@@ -69,7 +70,7 @@ def build_graph(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> OrbitGra
     exempt from that check, one built here, whose rows count against
     ``budget``.  Vertex ids follow (length, word) of the lex-first minimal
     representative.  Raises BudgetExceededError, before any table is
-    built, when |W(g)| or |W(h)| from the parabolic chain is over
+    built, when |W(g)| or |W(h)| from the root heights is over
     ``budget``; ValueError if a moved coset changes minimal length by other
     than 1, against the simple-edge grading.  A graph cached in the ambient
     diagram's ``diagram_data`` is returned as the same object.
@@ -320,8 +321,10 @@ class VerifyReport:
     p_h: tuple[int, ...]
     q: tuple[int, ...]
     checks: tuple[tuple[str, bool], ...]
-    # (check name, counterexample) for each failing order check that has
-    # one; an edge's label is its vertex name, as in the graph export
+    # (check name, counterexample) for each failing check that has one:
+    # (degree, coefficient of Q*P_H, coefficient of P_G) at the first degree
+    # where they differ, or an order check's counterexample, in which an
+    # edge's label is its vertex name, as in the graph export
     witnesses: tuple[tuple[str, tuple], ...] = ()
 
     @property
@@ -332,7 +335,7 @@ class VerifyReport:
 def _poincare_step(
     graph: OrbitGraph,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
-    """(P_G, P_H, Q, Q*P_H == P_G): P_G and P_H from the parabolic chain
+    """(P_G, P_H, Q, Q*P_H == P_G): P_G and P_H from the root heights
     of each diagram, Q from the grading of the orbit graph."""
     p_g = diagram_data(graph.pair.g_diagram).poincare
     p_h = diagram_data(graph.pair.h_colored.diagram).poincare
@@ -345,7 +348,7 @@ def _is_quotient_certificate(graph: OrbitGraph, order_g: int, order_h: int) -> b
 
     (1) Every Coxeter relator fixes every coset, so the table is a W(g)-set;
     (2) every folded word fixes coset 0, so W_H lies in its stabilizer;
-    (3) index * |W(h)| = |W(g)|, both orders from the parabolic chain.
+    (3) index * |W(h)| = |W(g)|, both orders from the root heights.
     With the transitivity checked alongside, (1) and (3) give every
     stabilizer order |W(g)| / index = |W(h)|, the top vertex's included;
     with (2) and the embedding order certified at validation, the
@@ -366,8 +369,9 @@ def _is_quotient_certificate(graph: OrbitGraph, order_g: int, order_h: int) -> b
 def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Run every structural check the orbit model promises.
 
-    P_G and P_H come from parabolic chains, independent of the orbit
-    table, so ``q_times_ph_equals_pg`` is not a tautology.  A stabilizer
+    P_G and P_H come from root heights, independent of the orbit
+    table, so ``q_times_ph_equals_pg`` is not a tautology; when it fails,
+    its witness is the first degree at which Q*P_H and P_G differ.  A stabilizer
     count is trivially right on a coset table, so ``top_stabilizer_order``
     asks for a unique top vertex, a transitive action and the table
     certificate of ``_is_quotient_certificate``, which together prove that
@@ -378,6 +382,12 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
     n = len(graph.vertices)
 
     p_g, p_h, q, factorization_ok = _poincare_step(graph)
+    found: dict[str, tuple] = {}
+    if not factorization_ok:
+        pairs = zip_longest(poly_mul(q, p_h), p_g, fillvalue=0)
+        diff = next(((k, x, y) for k, (x, y) in enumerate(pairs) if x != y), None)
+        if diff is not None:
+            found["q_times_ph_equals_pg"] = diff
 
     checks: list[tuple[str, bool]] = []
     checks.append(("q_times_ph_equals_pg", factorization_ok))
@@ -429,11 +439,10 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
 
     # the containment order on bitset columns; see _order_witnesses
     cols = _order_columns(graph)
-    found: dict[str, tuple] = {}
     if cols is not None:
-        found = _order_witnesses(
+        found.update(_order_witnesses(
             cols, graph.edges, graph.action, [v.dim for v in graph.vertices]
-        )
+        ))
         if "order_path_independent" in found:
             lo, hi, j = found["order_path_independent"]
             found["order_path_independent"] = (lo, hi, pair.g_diagram.vertices[j])
@@ -449,9 +458,7 @@ def verify_pair(pair: MinimalRankPair, budget: int = DEFAULT_BUDGET) -> VerifyRe
         p_h=p_h,
         q=q,
         checks=tuple(checks),
-        witnesses=tuple(
-            (name, found[name]) for name in _ORDER_CHECKS if name in found
-        ),
+        witnesses=tuple((name, found[name]) for name, _ in checks if name in found),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 Root = tuple[int, ...]
 
@@ -60,6 +61,11 @@ class DynkinDiagram:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted tuples of vertex indices."""
         return components(self.cartan)
+
+    @cached_property
+    def cartan_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j pairs each simple root with the coroot of simple root j."""
+        return tuple(zip(*self.cartan))
 
     def vertex_index(self, vid: str) -> int:
         try:
@@ -184,14 +190,12 @@ def _basis(n: int, i: int) -> Root:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _reflect_coords(cartan, beta: Root, j: int) -> Root:
-    """beta - <beta, alpha_j^v> alpha_j, via the Cartan matrix."""
-    c = sum(beta[i] * cartan[i][j] for i in range(len(beta)))
+def _reflect_root(columns, beta: Root, j: int) -> Root:
+    """beta - <beta, alpha_j^v> alpha_j, the pairing read off ``cartan_columns``."""
+    c = sum(map(mul, beta, columns[j]))
     if c == 0:
         return beta
-    out = list(beta)
-    out[j] -= c
-    return tuple(out)
+    return beta[:j] + (beta[j] - c,) + beta[j + 1 :]
 
 
 def build_root_system(diagram: DynkinDiagram) -> RootSystem:
@@ -202,7 +206,7 @@ def build_root_system(diagram: DynkinDiagram) -> RootSystem:
     2r² roots, the most of any classical type of rank r, and E8 has 240.
     """
     n = diagram.rank
-    cartan = diagram.cartan
+    columns = diagram.cartan_columns
     all_roots: set[Root] = set()
     for comp in diagram.components:
         bound = max(2 * len(comp) ** 2, 240)
@@ -212,7 +216,7 @@ def build_root_system(diagram: DynkinDiagram) -> RootSystem:
             new: list[Root] = []
             for beta in frontier:
                 for j in comp:
-                    r = _reflect_coords(cartan, beta, j)
+                    r = _reflect_root(columns, beta, j)
                     if r not in comp_roots:
                         comp_roots.add(r)
                         new.append(r)
@@ -295,7 +299,7 @@ def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
         raise ValueError(f"{alpha} is not a simple root") from None
     if beta not in rs.root_set:
         raise ValueError(f"{beta} is not a root of {rs.diagram.type_label}")
-    out = _reflect_coords(rs.diagram.cartan, beta, j)
+    out = _reflect_root(rs.diagram.cartan_columns, beta, j)
     if out not in rs.root_set:
         raise ValueError(
             f"reflection of {beta} at {alpha} left the root set of "

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from .root_system import (
     DynkinDiagram,
     RootSystem,
-    _reflect_coords,
+    _reflect_root,
     build_root_system,
 )
 
@@ -98,9 +98,9 @@ def reflection_perms(rs: RootSystem) -> tuple[Perm, ...]:
     if len(rs.roots) > 256:
         raise ValueError(f"{rs.diagram.type_label} has {len(rs.roots)} roots, over 256")
     index = rs.root_index
-    cartan = rs.diagram.cartan
+    columns = rs.diagram.cartan_columns
     return tuple(
-        bytes(index[_reflect_coords(cartan, r, j)] for r in rs.roots)
+        bytes(index[_reflect_root(columns, r, j)] for r in rs.roots)
         for j in range(rs.diagram.rank)
     )
 
@@ -115,7 +115,7 @@ def word_perm(rs: RootSystem, word: tuple[int, ...]) -> Perm:
 @dataclass(eq=False)
 class DiagramData:
     """What is kept about one Dynkin diagram, each field built on first
-    use: its root system, P_W from the parabolic chain and the orbit graphs
+    use: its root system, P_W from its root heights and the orbit graphs
     of its folds by ``sigma.mapping``.  No listed group is kept.
     """
 
@@ -128,7 +128,7 @@ class DiagramData:
 
     @cached_property
     def poincare(self) -> tuple[int, ...]:
-        return chain_poincare(self.root_system)
+        return weyl_poincare(self.root_system)
 
 
 # The package's one module-level cache, keyed on the whole diagram, vertex
@@ -140,7 +140,7 @@ def generate_weyl(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
     Elements are discovered in (length, lex word) order; the stored word is
-    the lex-min reduced word.  |W| is predicted from the parabolic chain
+    the lex-min reduced word.  |W| is predicted from the root heights
     first, so a group over ``budget`` raises BudgetExceededError before any
     element is listed.  Each call lists the group anew; none is kept.
     """
@@ -434,33 +434,29 @@ def coset_words(table: Table) -> list[tuple[int, ...]]:
     return words
 
 
-def chain_poincare(rs: RootSystem) -> tuple[int, ...]:
-    """Length polynomial P_W of the Weyl group, without enumerating W.
+def weyl_poincare(rs: RootSystem) -> tuple[int, ...]:
+    """Length polynomial P_W of the Weyl group, from the heights of the
+    positive roots; no group or coset table is built.
 
-    Deletes one vertex s at a time and multiplies the histograms of the
-    parabolic quotients: P_W = P^J * P_{W_J} with J = S - {s}, down to the
-    empty set.  Each factor is the coset-length histogram of a coset table
-    for W_J in W_S.  The deleted vertex is the one in the fewest remaining
-    positive roots, which keeps deg P^J = N(W_S) - N(W_J), and in finite
-    type the quotient, small.
+    Kostant (Amer. J. Math. 81, 1959): the exponents of W are the dual
+    partition of the height counts, so with count[k] positive roots of
+    height k, k is an exponent count[k] - count[k + 1] times.  Macdonald
+    (Math. Ann. 199, 1972): P_W(q) is the product over alpha > 0 of
+    (1 - q^(ht alpha + 1)) / (1 - q^(ht alpha)), which telescopes to the
+    product of 1 + q + ... + q^m over the exponents m.  The height counts
+    of a product of root systems add, so this holds for any diagram of
+    finite type, and |W| = P_W(1).
     """
-    cartan = rs.diagram.cartan
-    remaining = list(range(len(cartan)))
-    live = list(rs.positive_roots)
+    count = Counter(map(sum, rs.positive_roots))
     poly: tuple[int, ...] = (1,)
-    while remaining:
-        s = min(remaining, key=lambda v: sum(1 for r in live if r[v]))
-        sub = [[cartan[a][b] for b in remaining] for a in remaining]
-        words = [(k,) for k, v in enumerate(remaining) if v != s]
-        table = coset_table(sub, words)
-        poly = poly_mul(poly, length_histogram(map(len, coset_words(table))))
-        remaining.remove(s)
-        live = [r for r in live if r[s] == 0]
+    for k in sorted(count):
+        for _ in range(count[k] - count[k + 1]):
+            poly = poly_mul(poly, (1,) * (k + 1))
     return poly
 
 
 def order_within_budget(diagram: DynkinDiagram, budget: int) -> int:
-    """|W| = P_W(1) from the parabolic chain; BudgetExceededError if it is
+    """|W| = P_W(1) from the root heights; BudgetExceededError if it is
     over ``budget``, raised before anything of that size is built."""
     order = sum(diagram_data(diagram).poincare)
     if order > budget:

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import minrank as mr
-from minrank import orbits
+from minrank import orbits, weyl
 
 settings.register_profile(
     "exact",
@@ -75,5 +76,18 @@ def patch_graph(monkeypatch):
             )
 
         monkeypatch.setattr(orbits, "build_graph", fake)
+
+    return patch
+
+
+@pytest.fixture
+def patch_pg(monkeypatch):
+    """Make the orbit model read ``p_g`` as P_G of ``diagram``, through a
+    ``diagram_data`` cache of its own for ``orbits``."""
+
+    def patch(diagram, p_g):
+        private = functools.lru_cache(maxsize=None)(weyl.DiagramData)
+        monkeypatch.setattr(orbits, "diagram_data", private)
+        private(diagram).poincare = p_g
 
     return patch

@@ -1,7 +1,7 @@
 """Independent cross-checks used by the test suite.
 
 Everything here recomputes its answer from first principles with machinery
-deliberately different from the package: an exact symmetrized bilinear
+deliberately different from the package: an integer symmetrized bilinear
 form with closure under reflection at every root (instead of root-string
 arithmetic), the classical degree product formula (instead of group
 enumeration), long division of length polynomials, a raw coset-marking
@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
-    """d with d[j] * cartan[i][j] symmetric, d = 1 on one vertex per component."""
+def symmetrizer(cartan: Matrix) -> tuple[int, ...]:
+    """Positive integers d with d[j] * cartan[i][j] symmetric.
+
+    Found over the rationals with d = 1 on one vertex per component, then
+    scaled by the lcm of the denominators.
+    """
     n = len(cartan)
     d: list[Fraction | None] = [None] * n
     for start in range(n):
@@ -36,27 +41,24 @@ def symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
         for j in range(n):
             if d[j] * cartan[i][j] != d[i] * cartan[j][i]:
                 raise ValueError("cartan matrix is not symmetrizable")
-    return tuple(d)
+    scale = lcm(*(x.denominator for x in d))
+    return tuple(int(x * scale) for x in d)
 
 
 @lru_cache(maxsize=None)
 def root_closure(cartan: Matrix, bound: int = 300) -> frozenset[tuple[int, ...]]:
     """All roots, by closing the simples under reflection at every root.
 
-    Raises ValueError when a pairing is not an integer or the closure grows
-    past ``bound`` roots.  Memoized on ``(cartan, bound)``, so tests that
-    ask for the same closure share one frozenset; a raise is not cached.
+    The form is (x, y) = sum of x[i] * y[j] * d[j] * cartan[i][j], integer
+    valued with the integer symmetrizer d; each round computes, for every
+    root beta, its pairing row (the vector y -> (y, beta)) once.  Raises
+    ValueError when a pairing is not an integer or the closure grows past
+    ``bound`` roots.  Memoized on ``(cartan, bound)``, so tests that ask
+    for the same closure share one frozenset; a raise is not cached.
     """
     n = len(cartan)
     d = symmetrizer(cartan)
-
-    def inner(x, y) -> Fraction:
-        return sum(
-            Fraction(x[i]) * y[j] * d[j] * cartan[i][j]
-            for i in range(n)
-            for j in range(n)
-            if cartan[i][j] != 0 or i == j
-        )
+    form = [[d[j] * cartan[i][j] for j in range(n)] for i in range(n)]
 
     roots: set[tuple[int, ...]] = set()
     for i in range(n):
@@ -68,12 +70,14 @@ def root_closure(cartan: Matrix, bound: int = 300) -> frozenset[tuple[int, ...]]
         changed = False
         snapshot = sorted(roots)
         for beta in snapshot:
-            bb = inner(beta, beta)
+            row = [sum(f * b for f, b in zip(form[i], beta)) for i in range(n)]
+            bb = sum(b * r for b, r in zip(beta, row))
             for gamma in snapshot:
-                c = 2 * inner(gamma, beta) / bb
-                if c.denominator != 1:
-                    raise ValueError(f"pairing {c} is not an integer")
-                new = tuple(gamma[k] - int(c) * beta[k] for k in range(n))
+                twice = 2 * sum(g * r for g, r in zip(gamma, row))
+                c, rem = divmod(twice, bb)
+                if rem:
+                    raise ValueError(f"pairing {Fraction(twice, bb)} is not an integer")
+                new = tuple(gamma[k] - c * beta[k] for k in range(n))
                 if new not in roots:
                     roots.add(new)
                     changed = True

@@ -621,6 +621,19 @@ def test_verify_text_names_the_witness_of_a_failing_order_check(capsys, patch_gr
     assert "  order_transitive: pass\n" in out
 
 
+def test_verify_names_the_witness_of_a_failing_factorization(capsys, patch_pg):
+    patch_pg(mr.build_dynkin("A", 3), (1, 3, 4, 7, 5, 3, 1))
+    code, out, _ = run_cli(capsys, "verify", "--pair", "A3_C2")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["checks"]["q_times_ph_equals_pg"] is False
+    assert obj["witnesses"] == {"q_times_ph_equals_pg": [2, 5, 4]}
+    code, out, _ = run_cli(capsys, "verify", "--pair", "A3_C2", "--format", "text")
+    assert code == 1
+    assert "  q_times_ph_equals_pg: FAIL (witness 2, 5, 4)\n" in out
+    assert "  q_palindromic: pass\n" in out
+
+
 def run_module(*argv):
     """``python -m minrank ARGV`` in a fresh interpreter on this package."""
     src = str(Path(mr.__file__).resolve().parent.parent)

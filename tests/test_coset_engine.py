@@ -1,5 +1,5 @@
 """The coset engine against the enumeration engine it replaced in the orbit
-graphs: Todd-Coxeter tables and parabolic chains on one side, the listed
+graphs: Todd-Coxeter tables and P_W from root heights on one side, the listed
 Weyl group, its embedded subgroup and the (length, lex) coset scan on the
 other."""
 
@@ -11,7 +11,6 @@ import minrank as mr
 from minrank import folding, orbits, weyl
 from minrank.weyl import (
     BudgetExceededError,
-    chain_poincare,
     compose,
     coset_decomposition,
     coset_table,
@@ -22,6 +21,7 @@ from minrank.weyl import (
     length_poincare,
     perm_closure,
     reflection_perms,
+    weyl_poincare,
 )
 
 import oracles
@@ -85,20 +85,20 @@ def test_build_graph_agrees_with_group_enumeration_on_all_35_pairs(classified6):
 @pytest.mark.parametrize("letter,rank", CONNECTED_RANK6)
 def test_chain_poincare_matches_the_listed_group(letter, rank):
     rs = root_system(letter, rank)
-    assert chain_poincare(rs) == length_poincare(mr.generate_weyl(rs))
+    assert weyl_poincare(rs) == length_poincare(mr.generate_weyl(rs))
 
 
 @pytest.mark.parametrize("letter,rank", [("D", 7), ("E", 7), ("E", 8)])
 def test_chain_order_matches_the_degree_product(letter, rank):
     rs = root_system(letter, rank)
-    assert sum(chain_poincare(rs)) == oracles.weyl_order(letter, rank)
-    assert chain_poincare(rs) == oracles.poincare_product(letter, rank)
+    assert sum(weyl_poincare(rs)) == oracles.weyl_order(letter, rank)
+    assert weyl_poincare(rs) == oracles.poincare_product(letter, rank)
 
 
 def test_chain_poincare_of_a_product_is_the_product():
     b2, g2 = mr.build_dynkin("C", 2), mr.build_dynkin("G", 2)
     rs = mr.build_root_system(mr.disjoint_union(b2, g2))
-    assert chain_poincare(rs) == oracles.poly_mul(
+    assert weyl_poincare(rs) == oracles.poly_mul(
         oracles.poincare_product("C", 2), oracles.poincare_product("G", 2)
     )
 
@@ -382,7 +382,7 @@ def test_embedding_order_from_the_table_matches_the_closure():
             for j in word:
                 perm = compose(perm, refl[j])
             gens.append(perm)
-        order_g = sum(chain_poincare(rs))
+        order_g = sum(weyl_poincare(rs))
         index = len(coset_table(g.cartan, words))
         assert order_g % index == 0
         closure_order = len(perm_closure(gens, len(rs.roots)))

@@ -391,3 +391,27 @@ def test_verify_pair_reports_a_word_that_does_not_descend(patch_graph):
 def test_passing_report_json_has_no_witnesses():
     obj = mr.report_to_json(mr.verify_pair(pair_for("A3", A3_PAIRS)))
     assert "witnesses" not in obj
+
+
+# P_G of A3 is (1, 3, 5, 6, 5, 3, 1), and Q * P_H = P_G on A3 -> C2.  Only
+# the first perturbation keeps |W(g)|, which the table certificate reads.
+@pytest.mark.parametrize(
+    "p_g,witness,failing",
+    [
+        ((1, 3, 4, 7, 5, 3, 1), (2, 5, 4), []),
+        ((1, 3, 5, 6, 5, 3, 1, 1), (7, 0, 1), ["top_stabilizer_order"]),
+        ((1, 3, 5, 6, 5, 3), (6, 1, 0), ["top_stabilizer_order"]),
+    ],
+)
+def test_verify_pair_names_the_first_degree_where_q_times_ph_differs(
+    patch_pg, p_g, witness, failing
+):
+    pair = pair_for("A3", A3_PAIRS)
+    patch_pg(pair.g_diagram, p_g)
+    report = mr.verify_pair(pair)
+    assert [name for name, passed in report.checks if not passed] == [
+        "q_times_ph_equals_pg", *failing
+    ]
+    assert report.witnesses == (("q_times_ph_equals_pg", witness),)
+    obj = mr.report_to_json(report)
+    assert obj["witnesses"] == {"q_times_ph_equals_pg": list(witness)}

@@ -96,7 +96,9 @@ def test_malformed_cartan_is_rejected():
         mr.DynkinDiagram("X1", ((1,),), ("1",))
 
 
-@pytest.mark.parametrize("letter,rank", CONNECTED_TYPES)
+@pytest.mark.parametrize(
+    "letter,rank", CONNECTED_TYPES + [("E", 7), ("E", 8), ("B", 8), ("D", 8)]
+)
 def test_root_count_matches_reflection_closure_oracle(letter, rank):
     rs = rs_of(letter, rank)
     assert set(rs.roots) == set(oracles.root_closure(rs.diagram.cartan))

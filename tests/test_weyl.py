@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import minrank as mr
 from minrank import weyl
-from minrank.root_system import _reflect_coords
+from minrank.root_system import _reflect_root
 from minrank.weyl import (
     BudgetExceededError,
     Subgroup,
@@ -155,9 +155,9 @@ def test_generate_weyl_refuses_e8_before_listing_anything(monkeypatch):
 def tuple_enumeration(rs):
     """(word, perm) of each element, in discovery order, by the breadth-first
     closure written on tuple permutations: compose(p, q) = p[q[i]] for each i."""
-    cartan = rs.diagram.cartan
+    columns = rs.diagram.cartan_columns
     gens = [
-        tuple(rs.root_index[_reflect_coords(cartan, r, j)] for r in rs.roots)
+        tuple(rs.root_index[_reflect_root(columns, r, j)] for r in rs.roots)
         for j in range(rs.diagram.rank)
     ]
     identity = tuple(range(len(rs.roots)))
@@ -285,3 +285,42 @@ def test_product_against_compose(tp, data):
     u = data.draw(st.sampled_from(elems))
     v = data.draw(st.sampled_from(elems))
     assert W.product(u, v).perm == compose(u.perm, v.perm)
+
+
+# Every connected type the height formula is checked on: 55 in all.
+POINCARE_TYPES = (
+    [("A", n) for n in range(1, 21)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(3, 13)]
+    + [("D", n) for n in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", POINCARE_TYPES)
+def test_weyl_poincare_matches_the_degree_product(letter, rank):
+    rs = mr.build_root_system(mr.build_dynkin(letter, rank))
+    assert weyl.weyl_poincare(rs) == oracles.poincare_product(letter, rank)
+
+
+@pytest.mark.parametrize(
+    "parts", [[("A", 1), ("G", 2), ("B", 3)], [("D", 4), ("D", 4)]]
+)
+def test_weyl_poincare_of_a_product_is_the_product(parts):
+    diagram = reduce(mr.disjoint_union, [mr.build_dynkin(*t) for t in parts])
+    expected = reduce(oracles.poly_mul, [oracles.poincare_product(*t) for t in parts])
+    assert weyl.weyl_poincare(mr.build_root_system(diagram)) == expected
+
+
+def test_p_w_and_the_order_check_build_no_coset_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_table was called")
+
+    monkeypatch.setattr(weyl, "coset_table", refuse)
+    monkeypatch.setattr(weyl, "diagram_data", lru_cache(maxsize=None)(weyl.DiagramData))
+    e8 = mr.build_dynkin("E", 8)
+    assert weyl.diagram_data(e8).poincare == oracles.poincare_product("E", 8)
+    order = oracles.weyl_order("E", 8)
+    assert weyl.order_within_budget(e8, order) == order
+    with pytest.raises(BudgetExceededError):
+        weyl.order_within_budget(e8, order - 1)
